@@ -37,7 +37,7 @@ from . import hh_verifier as hh
 from . import presets
 from . import rng
 from . import wos_engine as wos
-from .estimates import Estimate, WosConfig
+from .estimates import WosConfig
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -204,7 +204,7 @@ def cmd_gradient(args) -> int:
     return _emit(args, header, rows, EXIT_PASS if ok else EXIT_VIOLATION)
 
 
-def _lemma_grid_rows(cfg) -> tuple[list[dict], bool, list[Estimate]]:
+def _lemma_grid_rows(cfg) -> tuple[list[dict], bool]:
     rows = []
     key = rng.derive(cfg.seed, 0x1E44)
     count = 1000
@@ -230,7 +230,7 @@ def _lemma_grid_rows(cfg) -> tuple[list[dict], bool, list[Estimate]]:
                      f"over {count} random (eps, T)", cfg.seed,
                      passed=worst_surv >= 0.0))
     ok = worst_trunc >= 0.0 and worst_surv >= 0.0
-    return rows, ok, []
+    return rows, ok
 
 
 def _lemma_simulation_rows(cfg, paths: int) -> tuple[list[dict], bool]:
@@ -260,7 +260,7 @@ def _lemma_simulation_rows(cfg, paths: int) -> tuple[list[dict], bool]:
 
 def cmd_lemmas(args) -> int:
     cfg = _build_config(args)
-    rows, ok, _ = _lemma_grid_rows(cfg)
+    rows, ok = _lemma_grid_rows(cfg)
     sim_rows, sim_ok = _lemma_simulation_rows(cfg, paths=args.paths)
     rows.extend(sim_rows)
     ok = ok and sim_ok

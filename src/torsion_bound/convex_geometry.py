@@ -533,6 +533,11 @@ class Polytope(ConvexBody):
         return np.all(points @ self.A.T <= self.c, axis=1)
 
     def distances_many(self, points):
+        if len(points) == 1:
+            # numpy multiplies a single row by gemv, which rounds unlike
+            # gemm; doubling the row keeps each point's distance
+            # independent of how many points share the call
+            return self.distances_many(np.vstack((points, points)))[:1]
         return (self.c - points @ self.A.T).min(axis=1)
 
     def bounding_box(self):

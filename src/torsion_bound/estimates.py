@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,6 @@ class WosConfig:
             raise ValueError("fd_delta must exceed shell_width")
 
     def replace(self, **changes) -> "WosConfig":
-        import dataclasses
-
         return dataclasses.replace(self, **changes)
 
 

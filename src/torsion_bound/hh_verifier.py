@@ -33,7 +33,7 @@ from . import convex_geometry as cg
 from . import rng
 from . import wos_engine as wos
 from .analytic_library import GRADIENT_CONSTANT, BoundReport, make_report
-from .estimates import Estimate, WosConfig
+from .estimates import Estimate, WosConfig, product_estimate
 
 _TAG_VOLUME_INT = 301
 _TAG_BOUNDARY_INT = 302
@@ -347,8 +347,6 @@ def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     vals = fn.value(pts)
     mean = Estimate.from_values(vals)
     vol = cg.volume(body, cfg)
-    from .estimates import product_estimate
-
     return product_estimate(mean, vol)
 
 
@@ -426,8 +424,7 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
 
 
 def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
-                   boundary_samples: int = 64,
-                   workers: int | None = None) -> BoundReport:
+                   boundary_samples: int = 64) -> BoundReport:
     """Check the sharper intermediate inequality
     int_Omega f <= (max du/dnu) int_dOmega f with the sampled gradient
     maximum; numerically implies the theorem whenever the gradient bound
@@ -436,8 +433,7 @@ def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
     certify_boundary_nonnegative(body, fn, seed=cfg.seed)
     lhs = volume_integral(body, fn, cfg)
     rhs = boundary_integral(body, fn, cfg)
-    grad = wos.max_normal_derivative(body, cfg, boundary_samples,
-                                     workers=workers)
+    grad = wos.max_normal_derivative(body, cfg, boundary_samples)
     bound = grad.estimate.mean * rhs.mean
     bound_se = math.hypot(grad.estimate.stderr * rhs.mean,
                           grad.estimate.mean * rhs.stderr)

@@ -1,13 +1,12 @@
 """Deterministic, splittable random streams for all Monte Carlo sampling.
 
 Every draw in the library is a pure function of a 64-bit key plus integer
-coordinates, so results do not depend on batch sizes, worker counts, or
-call order:
+coordinates, so results do not depend on batch sizes or call order:
 
 * ``uniforms(key, units, counter, nslots)`` hashes ``(key, unit, counter,
   slot)`` to a double in (0, 1) with a splitmix64-style finalizer.  A
   "unit" is a walk index, candidate index, or path index; any partition
-  of the units across workers reproduces the same values bit for bit.
+  of the units into batches reproduces the same values bit for bit.
 * ``path_generator(key, index)`` builds a counter-based Philox generator
   keyed by ``(key, index)`` for sequential 1-D path simulation, where a
   single unit needs a long private stream.

@@ -9,16 +9,16 @@ O(shell_width * diameter).  Walks hitting the step cap add a uniform
 remainder bound (half the exit-time bound (1/n)(vol/omega_n)^{2/n}) so the
 estimate stays conservative, and are counted in truncated_fraction.
 
-Randomness is keyed by (seed, start point, walk index, step), so any
-partition of walk indices across workers reproduces the same per-walk
-values bit for bit.
+All walks from one start advance together in one loop that drops walks
+from its arrays as they absorb; very large sample counts run in blocks of
+walk indices to bound memory.  Randomness is keyed by (seed, start point,
+walk index, step), so every block size reproduces the same per-walk values
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +37,9 @@ __all__ = ["WosConfig", "Estimate", "torsion_value", "exit_time_mean",
 _TAG_TORSION = 201
 _TAG_MAXGRAD = 202
 _TAG_LIFETIME = 203
-_CHUNK = 4096
-
-
-def _resolve_workers(workers: int | None) -> int:
-    cap = os.environ.get("TORSION_BOUND_THREADS")
-    if workers is None:
-        workers = int(cap) if cap else 1
-    elif cap:
-        workers = min(workers, int(cap))
-    return max(1, workers)
+# Walks per block: bounds memory for very large sample counts; every
+# default sample count runs as one block.
+_BLOCK = 65_536
 
 
 def _volume_upper_bound(body: ConvexBody) -> float:
@@ -63,43 +56,36 @@ def _tail_bound(body: ConvexBody) -> float:
     return 0.5 * lifetime_bound(body.dimension, _volume_upper_bound(body))
 
 
-def _torsion_chunk(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
-                   lo: int, hi: int):
-    m = hi - lo
+def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
+                   lo: int, hi: int, values: np.ndarray) -> int:
+    """Run walks lo..hi-1 from x, writing each walk's value into values at
+    its walk index; returns the number of walks that hit the step cap."""
     n = body.dimension
     ids = np.arange(lo, hi, dtype=np.uint64)
-    pos = np.tile(x, (m, 1))
-    acc = np.zeros(m)
-    truncated = np.zeros(m, dtype=bool)
-    active = np.arange(m)
+    pos = np.tile(x, (hi - lo, 1))
+    acc = np.zeros(hi - lo)
     shell = cfg.shell_width * body.diameter
     inv2n = 1.0 / (2.0 * n)
-    step = 0
-    while active.size:
-        if step >= cfg.max_steps:
-            truncated[active] = True
-            acc[active] += _tail_bound(body)
-            break
-        d = body.distances_many(pos[active])
+    for step in range(cfg.max_steps):
+        d = body.distances_many(pos)
         alive = d > shell
-        active = active[alive]
-        if active.size == 0:
-            break
-        d = d[alive]
-        acc[active] += d * d * inv2n
-        dirs = rng.unit_vectors(key, ids[active], step, n)
-        pos[active] += d[:, None] * dirs
-        step += 1
-    return acc, truncated
+        if not alive.all():
+            dead = ~alive
+            values[ids[dead]] = acc[dead]
+            ids, pos, acc, d = ids[alive], pos[alive], acc[alive], d[alive]
+            if ids.size == 0:
+                return 0
+        acc += d * d * inv2n
+        pos += d[:, None] * rng.unit_vectors(key, ids, step, n)
+    values[ids] = acc + _tail_bound(body)
+    return ids.size
 
 
-def torsion_value(body: ConvexBody, x, cfg: WosConfig,
-                  workers: int | None = None) -> Estimate:
+def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
     """Estimate the torsion function at the interior point x.
 
-    Requires x deeper than the absorbing shell.  The per-walk results are
-    partition-invariant, so the returned Estimate is identical for any
-    worker count.
+    Requires x deeper than the absorbing shell.  The per-walk results do
+    not depend on the block size, so neither does the returned Estimate.
     """
     x = np.asarray(x, dtype=float)
     if not cg.contains(body, x):
@@ -108,25 +94,18 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig,
     if cg.distance_to_boundary(body, x) <= shell:
         raise ValueError("start point lies inside the absorbing shell")
     key = rng.derive_from_floats(rng.derive(cfg.seed, _TAG_TORSION), x)
-    spans = [(lo, min(lo + _CHUNK, cfg.samples))
-             for lo in range(0, cfg.samples, _CHUNK)]
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or len(spans) == 1:
-        parts = [_torsion_chunk(body, x, cfg, key, lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(
-                lambda span: _torsion_chunk(body, x, cfg, key, *span), spans))
-    values = np.concatenate([p[0] for p in parts])
-    truncated = int(sum(p[1].sum() for p in parts))
+    values = np.empty(cfg.samples)
+    truncated = sum(
+        _torsion_block(body, x, cfg, key, lo, min(lo + _BLOCK, cfg.samples),
+                       values)
+        for lo in range(0, cfg.samples, _BLOCK))
     return Estimate.from_values(values, truncated=truncated)
 
 
-def exit_time_mean(body: ConvexBody, x, cfg: WosConfig,
-                   workers: int | None = None) -> Estimate:
+def exit_time_mean(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
     """Expected exit time of standard Brownian motion started at x:
     twice the torsion value (same walks, scaled)."""
-    return torsion_value(body, x, cfg, workers=workers).scaled(2.0)
+    return torsion_value(body, x, cfg).scaled(2.0)
 
 
 def _usable_probe(body: ConvexBody, position, normal, delta, shell):
@@ -139,13 +118,13 @@ def _usable_probe(body: ConvexBody, position, normal, delta, shell):
 
 
 def normal_derivative(body: ConvexBody, bp: BoundaryPoint, cfg: WosConfig,
-                      richardson: bool = False,
-                      workers: int | None = None) -> Estimate:
+                      richardson: bool = False) -> Estimate:
     """One-sided divided difference u(x + delta nu) / delta (u vanishes on
     the boundary), with delta = fd_delta * diameter.
 
-    The O(delta) bias is downward near smooth maxima, the conservative
-    direction for checking upper gradient bounds.  richardson=True combines
+    The O(delta) bias is downward near smooth maxima, the lenient
+    direction for checking upper gradient bounds: it can hide a small
+    excess over the bound.  richardson=True combines
     probes at delta and delta/2 to cancel the first-order bias.  If the
     probe exits the body (corners), delta shrinks geometrically up to 8
     times before the point is rejected.
@@ -163,11 +142,11 @@ def normal_derivative(body: ConvexBody, bp: BoundaryPoint, cfg: WosConfig,
     if probe is None:
         raise ValueError("no usable probe along the inward normal "
                          "(boundary point too close to a corner)")
-    full = torsion_value(body, probe, cfg, workers=workers)
+    full = torsion_value(body, probe, cfg)
     if not richardson:
         return full.scaled(1.0 / delta)
     half_probe = bp.position + 0.5 * delta * bp.inward_normal
-    half = torsion_value(body, half_probe, cfg, workers=workers)
+    half = torsion_value(body, half_probe, cfg)
     # f(d) = u(x + d nu)/d = u'(x) + c d + O(d^2): 2 f(d/2) - f(d) kills c
     mean = 2.0 * half.mean / (0.5 * delta) - full.mean / delta
     stderr = math.hypot(2.0 * half.stderr / (0.5 * delta), full.stderr / delta)
@@ -179,9 +158,10 @@ def normal_derivative(body: ConvexBody, bp: BoundaryPoint, cfg: WosConfig,
 
 @dataclass(frozen=True)
 class MaxNormalDerivative:
-    """Sampled maximum of the inward normal derivative: a lower bound on
-    the true boundary maximum (the conservative direction for verifying
-    upper bounds)."""
+    """Sampled maximum of the inward normal derivative: the largest of
+    many noisy probe estimates, so it is biased upward as an estimate of
+    the true boundary maximum, and ``estimate.stderr`` is that one probe's
+    stderr, which understates the spread of the maximum."""
 
     estimate: Estimate
     location: np.ndarray
@@ -289,12 +269,13 @@ def _cap_points(body: ConvexBody, center: np.ndarray, radius: float,
                 count: int, key: int):
     """Boundary points within Euclidean ``radius`` of ``center``; returns
     whatever it finds if the cap proves too small to fill."""
+    batch = 4096
     pos_parts, nrm_parts = [], []
     collected = 0
     next_id = 0
-    while collected < count and next_id < 512 * _CHUNK:
-        ids = np.arange(next_id, next_id + _CHUNK, dtype=np.uint64)
-        next_id += _CHUNK
+    while collected < count and next_id < 512 * batch:
+        ids = np.arange(next_id, next_id + batch, dtype=np.uint64)
+        next_id += batch
         pos, nrm, _w, ok = body._boundary_batch(key, ids)
         near = ok & (np.linalg.norm(pos - center, axis=1) <= radius)
         pos_parts.append(pos[near])
@@ -307,8 +288,8 @@ def _cap_points(body: ConvexBody, center: np.ndarray, radius: float,
 
 
 def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
-                          boundary_samples: int, refine_rounds: int = 2,
-                          workers: int | None = None) -> MaxNormalDerivative:
+                          boundary_samples: int,
+                          refine_rounds: int = 2) -> MaxNormalDerivative:
     """Maximize the inward normal derivative over sampled boundary points.
 
     Spends ~60% of the evaluation budget on a stratified global pass and
@@ -333,7 +314,7 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
         for p, v in zip(pos, nrm):
             bp = BoundaryPoint(position=p, inward_normal=v)
             try:
-                est = normal_derivative(body, bp, cfg, workers=workers)
+                est = normal_derivative(body, bp, cfg)
             except ValueError:
                 continue  # corner-pinched probe; excluded by contract
             evaluations += 1
@@ -361,10 +342,10 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
                                normal=best[3], evaluations=evaluations)
 
 
-def exit_time_domination(body: ConvexBody, x, cfg: WosConfig,
-                         workers: int | None = None) -> BoundReport:
+def exit_time_domination(body: ConvexBody, x,
+                         cfg: WosConfig) -> BoundReport:
     """Check the uniform exit-time bound (1/n)(vol/omega_n)^{2/n} at x."""
-    measured = exit_time_mean(body, x, cfg, workers=workers)
+    measured = exit_time_mean(body, x, cfg)
     vol = cg.volume(body, cfg)
     bound = lifetime_bound(body.dimension, vol.mean)
     bound_se = (bound * (2.0 / body.dimension) * vol.stderr / vol.mean
@@ -379,8 +360,7 @@ def exit_time_domination(body: ConvexBody, x, cfg: WosConfig,
 
 
 def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
-                         boundary_samples: int = 8,
-                         workers: int | None = None) -> BoundReport:
+                         boundary_samples: int = 8) -> BoundReport:
     """Start walks a distance epsilon inside sampled boundary points and
     compare their exit times against the assembled bound at its optimal
     horizon: eps (4/sqrt(pi)) (1/sqrt(n)) (vol/omega_n)^{1/n}."""
@@ -406,7 +386,7 @@ def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
     worst = None
     per_point = []
     for start in starts:
-        est = exit_time_mean(body, start, cfg, workers=workers)
+        est = exit_time_mean(body, start, cfg)
         per_point.append(est.mean)
         if worst is None or est.mean > worst.mean:
             worst = est

@@ -265,9 +265,9 @@ def test_criterion_8_dimension_constants():
             f"relative gap {rel_gap:.2e}")
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Identical seeds give byte-identical report bodies; walk estimates
-    are invariant under worker partitioning."""
+    are invariant under the walk block size."""
     t0 = time.time()
     args = ["verify-hh", "--preset", "half-disk-affine", "--samples", "4000",
             "--seed", "5", "--boundary-samples", "8"]
@@ -285,7 +285,10 @@ def test_criterion_9_determinism(tmp_path):
 
     body = presets.half_ball(2)
     x = [0.1, 0.35]
-    workers = [wos.torsion_value(body, x, CFG, workers=w) for w in (1, 8)]
-    assert workers[0] == workers[1]
+    default = wos.torsion_value(body, x, CFG)
+    for block in (7, 4096):
+        monkeypatch.setattr(wos, "_BLOCK", block)
+        assert wos.torsion_value(body, x, CFG) == default
     _report(9, time.time() - t0, 60,
-            "byte-identical reports; 1-vs-8-worker estimates identical")
+            "byte-identical reports; estimates identical for walk blocks "
+            "of 7, 4096 and the default")

@@ -58,12 +58,18 @@ class TestTorsionValue:
         with pytest.raises(ValueError):
             wos.torsion_value(body, [1.0 - 1e-6, 0.0], CFG)
 
-    def test_deterministic_and_partition_invariant(self):
-        body = cg.Ball([0.0] * 3, 1.0)
-        a = wos.torsion_value(body, [0.2, 0.1, -0.3], CFG, workers=1)
-        b = wos.torsion_value(body, [0.2, 0.1, -0.3], CFG, workers=1)
-        c = wos.torsion_value(body, [0.2, 0.1, -0.3], CFG, workers=8)
-        assert a == b == c
+    def test_deterministic_and_partition_invariant(self, monkeypatch):
+        # the polytope's distance is a matrix product, which numpy rounds
+        # differently when the last walk of a block is left alone
+        for body, x in ((cg.Ball([0.0] * 3, 1.0), [0.2, 0.1, -0.3]),
+                        (presets.body_preset("random-polytope-n3"),
+                         [0.57, -0.25, 0.08])):
+            a = wos.torsion_value(body, x, CFG)
+            assert wos.torsion_value(body, x, CFG) == a
+            for block in (7, 4096):
+                monkeypatch.setattr(wos, "_BLOCK", block)
+                assert wos.torsion_value(body, x, CFG) == a
+            monkeypatch.undo()
 
     def test_shell_halving_stable(self):
         body = presets.half_ball(2)
@@ -82,6 +88,14 @@ class TestTorsionValue:
         # capped walks carry the uniform remainder bound, keeping the
         # estimate an upper-bound-compatible quantity
         assert est.mean >= al.ball_torsion(2, 1.0, 0.3) - 3.0 * est.stderr
+        # one step from the centre reaches the sphere: every walk is capped
+        # and adds R^2/(2n) plus the remainder bound
+        body = cg.Ball([0.0] * 3, 1.0)
+        est = wos.torsion_value(body, [0.0] * 3,
+                                CFG.replace(max_steps=1, samples=500))
+        assert est.truncated_fraction == 1.0
+        assert est.mean == pytest.approx(1.0 / 6.0 + wos._tail_bound(body),
+                                         rel=1e-12)
 
 
 class TestExitTime:
@@ -230,12 +244,3 @@ class TestLifetimeBoundCheck:
             wos.lifetime_bound_check(cg.Ball([0.0, 0.0], 1.0), epsilon=1.5,
                                      cfg=CFG)
 
-
-class TestWorkerResolution:
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("TORSION_BOUND_THREADS", "2")
-        assert wos._resolve_workers(8) == 2
-        assert wos._resolve_workers(None) == 2
-        monkeypatch.delenv("TORSION_BOUND_THREADS")
-        assert wos._resolve_workers(None) == 1
-        assert wos._resolve_workers(4) == 4
