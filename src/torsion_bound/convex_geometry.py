@@ -158,6 +158,8 @@ class Ball(ConvexBody):
         center = np.asarray(center, dtype=float)
         if center.ndim != 1 or center.size < 2:
             raise ValueError("ball center must be a vector of dimension >= 2")
+        if not (np.all(np.isfinite(center)) and math.isfinite(radius)):
+            raise ValueError("ball center and radius must be finite")
         if radius <= 0:
             raise ValueError("ball radius must be positive")
         self.center = center
@@ -218,6 +220,8 @@ class Ellipsoid(ConvexBody):
         semi_axes = np.asarray(semi_axes, dtype=float)
         if center.ndim != 1 or center.size < 2:
             raise ValueError("ellipsoid center must be a vector of dimension >= 2")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(semi_axes))):
+            raise ValueError("ellipsoid center and semi_axes must be finite")
         if semi_axes.shape != center.shape or np.any(semi_axes <= 0):
             raise ValueError("semi_axes must be positive and match the center")
         self.center = center
@@ -312,6 +316,8 @@ class Box(ConvexBody):
         upper = np.asarray(upper, dtype=float)
         if lower.ndim != 1 or lower.size < 2:
             raise ValueError("box corners must be vectors of dimension >= 2")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("box corners must be finite")
         if lower.shape != upper.shape or np.any(upper <= lower):
             raise ValueError("box must satisfy lower < upper componentwise")
         self.lower = lower
@@ -505,6 +511,8 @@ class Polytope(ConvexBody):
         offsets = []
         for a, ci in half_spaces:
             a = np.asarray(a, dtype=float)
+            if not (np.all(np.isfinite(a)) and math.isfinite(ci)):
+                raise ValueError("half-space normals and offsets must be finite")
             norm = float(np.linalg.norm(a))
             if norm < _TOL:
                 raise ValueError("half-space normal must be nonzero")
@@ -886,28 +894,84 @@ def body_to_json(body: ConvexBody) -> dict:
     return {"dimension": body.dimension, "shape": body.shape_json()}
 
 
+def _finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON field kinds: (what the message says is expected, the check)
+_JSON_KINDS = {
+    "number": ("a finite number", _finite_number),
+    "integer": ("an integer", _integer),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_finite_number, v))),
+    "integers": ("a list of integers",
+                 lambda v: isinstance(v, list) and all(map(_integer, v))),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def json_object(doc, what: str) -> dict:
+    """``doc`` when it is a JSON object; ValueError otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
+def json_field(doc: dict, name: str, what: str, kind: str):
+    """Field ``name`` of the object ``doc``, checked to be of one of the
+    ``_JSON_KINDS``; ValueError when it is missing or of another type."""
+    if name not in doc:
+        raise ValueError(f"{what} has no field {name!r}")
+    expected, ok = _JSON_KINDS[kind]
+    if not ok(doc[name]):
+        raise ValueError(f"{what} field {name!r} must be {expected}")
+    return doc[name]
+
+
 def _shape_from_json(doc: dict, n: int, member: bool = False) -> ConvexBody:
     kind = doc.get("type")
+    what = f"{kind} shape"
     if kind == "ball":
-        return Ball(center=doc["center"], radius=doc["radius"])
+        return Ball(center=json_field(doc, "center", what, "numbers"),
+                    radius=json_field(doc, "radius", what, "number"))
     if kind == "ellipsoid":
-        return Ellipsoid(center=doc["center"], semi_axes=doc["semi_axes"])
+        return Ellipsoid(center=json_field(doc, "center", what, "numbers"),
+                         semi_axes=json_field(doc, "semi_axes", what, "numbers"))
     if kind == "box":
-        return Box(lower=doc["lower"], upper=doc["upper"])
+        return Box(lower=json_field(doc, "lower", what, "numbers"),
+                   upper=json_field(doc, "upper", what, "numbers"))
     if kind == "polytope":
-        halves = [(h["normal"], h["offset"]) for h in doc["half_spaces"]]
+        halves = []
+        for h in json_field(doc, "half_spaces", what, "list"):
+            h = json_object(h, "half-space")
+            halves.append((json_field(h, "normal", "half-space", "numbers"),
+                           json_field(h, "offset", "half-space", "number")))
         return Polytope(halves, require_bounded=not member)
     if kind == "intersection":
-        members = [_shape_from_json(m, n, member=True) for m in doc["members"]]
+        members = [_shape_from_json(json_object(m, "intersection member"), n,
+                                    member=True)
+                   for m in json_field(doc, "members", what, "list")]
         return Intersection(members)
     raise ValueError(f"unknown shape type {kind!r}")
 
 
-def body_from_json(doc: dict) -> ConvexBody:
-    n = int(doc["dimension"])
+def body_from_json(doc) -> ConvexBody:
+    """The body a JSON document describes; ValueError on a document that
+    is not an object, a missing field, a field of the wrong type, a
+    non-finite number or an invalid shape."""
+    doc = json_object(doc, "body document")
+    n = json_field(doc, "dimension", "body document", "integer")
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    body = _shape_from_json(doc["shape"], n)
+    body = _shape_from_json(json_field(doc, "shape", "body document", "object"),
+                            n)
     if body.dimension != n:
         raise ValueError("shape dimension does not match the declared dimension")
     return body

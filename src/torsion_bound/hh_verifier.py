@@ -11,7 +11,21 @@ verify_theorem1 checks   int_Omega f  <=  (sqrt(2)/pi) vol^{1/n} int_dOmega f
 and hh_via_torsion checks the sharper intermediate inequality with the
 sampled maximum of the torsion function's inward normal derivative.
 
-JSON schema for functions:
+Shared draws.  Every sample the checks use depends on the body and the
+seed, never on f: the 512 interior and 512 boundary certificate probes
+(keyed by (seed, _TAG_CERT, 1 or 2)), the cfg.samples uniform interior
+points (seed, _TAG_VOLUME_INT), the cfg.samples weighted boundary points
+(seed, _TAG_BOUNDARY_INT), and the volume and surface area (cfg.seed and
+cfg.samples).  They are drawn once per (body identity, cfg.seed,
+cfg.samples) into a read-only sample set that every function on that body
+reuses, so checking several functions on one body draws once and gives
+the same numbers, bit for bit, as drawing afresh for each.  The most
+recent set, normals excluded, stays in memory between calls (about
+(2n + 1) cfg.samples floats) until a call with another key replaces it.
+A test function must not write into the points it is given.
+
+JSON schema for functions (fn_from_json raises ValueError on anything
+else):
 
     {"kind": "affine", "constant": c, "linear": [...]}
     {"kind": "quadratic", "center": [...], "constant": c, "linear": [...]}
@@ -25,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,6 +53,7 @@ from .estimates import Estimate, WosConfig, product_estimate
 _TAG_VOLUME_INT = 301
 _TAG_BOUNDARY_INT = 302
 _TAG_CERT = 303
+_CERT_PROBES = 512
 
 BOUNDARY_TOL = 1e-9
 LAPLACIAN_TOL = 1e-9
@@ -49,7 +65,7 @@ class CertificateError(ValueError):
 
     def __init__(self, message: str, witness):
         super().__init__(message)
-        self.witness = np.asarray(witness, dtype=float)
+        self.witness = np.array(witness, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +220,8 @@ class HarmonicPolynomial(SubharmonicFn):
         for powers in self.terms:
             if len(powers) != self.dimension:
                 raise ValueError("term powers must match the dimension")
+            if min(powers, default=0) < 0:
+                raise ValueError("term powers must be nonnegative")
         self._laplacian_terms = _poly_laplacian(self.terms, self.dimension)
 
     def value(self, X):
@@ -279,23 +297,127 @@ class PositiveCombination(SubharmonicFn):
                           for w, fn in self.parts]}
 
 
-def fn_from_json(doc: dict, dimension: int) -> SubharmonicFn:
+def _json_vector(doc: dict, name: str, what: str, dimension: int) -> list:
+    v = cg.json_field(doc, name, what, "numbers")
+    if len(v) != dimension:
+        raise ValueError(f"{what} field {name!r} must have {dimension} "
+                         f"entries, got {len(v)}")
+    return v
+
+
+def fn_from_json(doc, dimension: int) -> SubharmonicFn:
+    """The test function a JSON document describes; ValueError on a
+    document that is not an object, a missing field, a field of the wrong
+    type, a non-finite number or a vector whose length is not
+    ``dimension``."""
+    doc = cg.json_object(doc, "function document")
     kind = doc.get("kind")
+    what = f"{kind} function"
     if kind == "affine":
-        return Affine(doc["constant"], doc["linear"])
+        return Affine(cg.json_field(doc, "constant", what, "number"),
+                      _json_vector(doc, "linear", what, dimension))
     if kind == "quadratic":
-        return Quadratic(doc["center"], doc.get("constant", 0.0),
-                         doc.get("linear"))
+        constant = (cg.json_field(doc, "constant", what, "number")
+                    if "constant" in doc else 0.0)
+        linear = (_json_vector(doc, "linear", what, dimension)
+                  if doc.get("linear") is not None else None)
+        return Quadratic(_json_vector(doc, "center", what, dimension),
+                         constant, linear)
     if kind == "harmonic_polynomial":
-        terms = {tuple(t["powers"]): t["coeff"] for t in doc["terms"]}
+        terms = {}
+        for t in cg.json_field(doc, "terms", what, "list"):
+            t = cg.json_object(t, "polynomial term")
+            powers = cg.json_field(t, "powers", "polynomial term", "integers")
+            terms[tuple(powers)] = cg.json_field(t, "coeff", "polynomial term",
+                                                 "number")
         return HarmonicPolynomial(terms, dimension)
     if kind == "shifted_norm":
-        return ShiftedNorm(doc["anchor"])
+        return ShiftedNorm(_json_vector(doc, "anchor", what, dimension))
     if kind == "positive_combination":
-        return PositiveCombination(
-            [(t["weight"], fn_from_json(t["fn"], dimension))
-             for t in doc["terms"]])
+        parts = []
+        for t in cg.json_field(doc, "terms", what, "list"):
+            t = cg.json_object(t, "combination term")
+            fn = cg.json_field(t, "fn", "combination term", "object")
+            parts.append((cg.json_field(t, "weight", "combination term", "number"),
+                          fn_from_json(fn, dimension)))
+        return PositiveCombination(parts)
     raise ValueError(f"unknown function kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the shared sample set
+
+
+@dataclass(frozen=True)
+class _SampleSet:
+    """Every draw the checks make on one (body, seed, samples): the
+    certificate probes, the uniform solid sample, the weighted boundary
+    sample, the volume and the surface area.  The arrays are read-only."""
+
+    body: cg.ConvexBody
+    seed: int
+    samples: int
+    cert_interior: np.ndarray
+    cert_boundary: np.ndarray
+    interior: np.ndarray
+    boundary: np.ndarray
+    weights: np.ndarray
+    volume: Estimate
+    area: Estimate
+
+
+# the most recently drawn set; one body's set at a time stays in memory
+_held: _SampleSet | None = None
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _draw_cert_probes(body: cg.ConvexBody, seed: int, probes: int):
+    """(interior, boundary) certificate probe positions."""
+    boundary = body.boundary_arrays(probes, rng.derive(seed, _TAG_CERT, 2))[0]
+    interior = cg.interior_points(body, probes, rng.derive(seed, _TAG_CERT, 1))
+    return _read_only(interior, boundary)
+
+
+def _sample_set(body: cg.ConvexBody, cfg: WosConfig) -> _SampleSet:
+    """The held set when it was drawn for this body (by identity),
+    cfg.seed and cfg.samples; otherwise a fresh draw, which replaces it.
+
+    The held set is dropped before the draw, and the boundary sample, the
+    largest transient, is drawn first, so no two sets are in memory at
+    once.  The boundary normals are not kept."""
+    global _held
+    held = _held
+    if (held is not None and held.body is body and held.seed == cfg.seed
+            and held.samples == cfg.samples):
+        return held
+    _held = held = None
+    pos, _nrm, wgt = body.boundary_arrays(
+        cfg.samples, rng.derive(cfg.seed, _TAG_BOUNDARY_INT))
+    del _nrm
+    interior = cg.interior_points(body, cfg.samples,
+                                  rng.derive(cfg.seed, _TAG_VOLUME_INT))
+    cert_interior, cert_boundary = _draw_cert_probes(body, cfg.seed,
+                                                     _CERT_PROBES)
+    _held = _SampleSet(body, cfg.seed, cfg.samples, cert_interior,
+                       cert_boundary, *_read_only(interior, pos, wgt),
+                       volume=cg.volume(body, cfg),
+                       area=cg.surface_area(body, cfg))
+    return _held
+
+
+def _cert_probes(body: cg.ConvexBody, seed: int, probes: int):
+    """The held set's certificate probes when it belongs to this body and
+    seed (they do not depend on its sample count), else a fresh draw."""
+    held = _held
+    if (held is not None and held.body is body and held.seed == seed
+            and probes == _CERT_PROBES):
+        return held.cert_interior, held.cert_boundary
+    return _draw_cert_probes(body, seed, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +425,14 @@ def fn_from_json(doc: dict, dimension: int) -> SubharmonicFn:
 
 
 def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
-                        seed: int = 0, probes: int = 512) -> None:
+                        seed: int = 0, probes: int = _CERT_PROBES) -> None:
     """Check lap f >= -tol on interior probe points (exact for polynomial
     kinds whose symbolic Laplacian is constant-sign); raises
-    CertificateError with a witness on failure."""
+    CertificateError with a witness on failure.
+
+    The probes are keyed by (seed, probe index) only; with the default
+    probe count they are those of the held sample set when it belongs to
+    this body and seed."""
     if isinstance(fn, ShiftedNorm) and cg.contains(body, fn.anchor):
         raise CertificateError("shifted-norm anchor lies inside the body",
                                fn.anchor)
@@ -315,7 +441,7 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
             if isinstance(part, ShiftedNorm) and cg.contains(body, part.anchor):
                 raise CertificateError(
                     "shifted-norm anchor lies inside the body", part.anchor)
-    pts = cg.interior_points(body, probes, rng.derive(seed, _TAG_CERT, 1))
+    pts = _cert_probes(body, seed, probes)[0]
     lap = fn.laplacian(pts)
     worst = int(np.argmin(lap))
     if lap[worst] < -LAPLACIAN_TOL:
@@ -325,8 +451,12 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
 
 
 def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
-                                 seed: int = 0, probes: int = 512) -> None:
-    pos, _nrm, _w = body.boundary_arrays(probes, rng.derive(seed, _TAG_CERT, 2))
+                                 seed: int = 0,
+                                 probes: int = _CERT_PROBES) -> None:
+    """Check f >= -tol on sampled boundary points; raises CertificateError
+    with a witness on failure.  The probes are shared as in
+    certify_subharmonic."""
+    pos = _cert_probes(body, seed, probes)[1]
     vals = fn.value(pos)
     worst = int(np.argmin(vals))
     if vals[worst] < -BOUNDARY_TOL:
@@ -341,29 +471,28 @@ def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
 
 def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
                     cfg: WosConfig) -> Estimate:
-    """Mean of f over uniform interior samples times the body volume."""
-    pts = cg.interior_points(body, cfg.samples,
-                             rng.derive(cfg.seed, _TAG_VOLUME_INT))
-    vals = fn.value(pts)
-    mean = Estimate.from_values(vals)
-    vol = cg.volume(body, cfg)
-    return product_estimate(mean, vol)
+    """Mean of f over uniform interior samples times the body volume; both
+    come from the sample set of (body, cfg.seed, cfg.samples)."""
+    s = _sample_set(body, cfg)
+    return product_estimate(Estimate.from_values(fn.value(s.interior)),
+                            s.volume)
 
 
 def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
                       cfg: WosConfig) -> Estimate:
     """Importance-weighted mean of f over boundary samples times the
     surface area; the stderr includes the weight variance (delta method
-    on the self-normalized ratio)."""
-    pos, _nrm, wgt = body.boundary_arrays(cfg.samples,
-                                          rng.derive(cfg.seed, _TAG_BOUNDARY_INT))
-    vals = fn.value(pos)
+    on the self-normalized ratio).  Samples, weights and area come from
+    the sample set of (body, cfg.seed, cfg.samples)."""
+    s = _sample_set(body, cfg)
+    wgt = s.weights
+    vals = fn.value(s.boundary)
     wsum = wgt.sum()
     mean = float(np.sum(wgt * vals) / wsum)
     m = len(vals)
     resid = wgt * (vals - mean) / (wsum / m)
     se_mean = float(np.std(resid, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    area = cg.surface_area(body, cfg)
+    area = s.area
     var = (mean * area.stderr) ** 2 + (area.mean * se_mean) ** 2
     return Estimate(mean=mean * area.mean, stderr=math.sqrt(var), samples=m)
 
@@ -400,27 +529,40 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
                     cfg: WosConfig) -> BoundReport:
     """Check int_Omega f <= (sqrt(2)/pi) vol^{1/n} int_dOmega f after both
     certificates pass; the report carries the achieved ratio
-    lhs / (vol^{1/n} rhs) for sharpness tracking."""
+    lhs / (vol^{1/n} rhs) for sharpness tracking, with its first-order
+    stderr ratio * hypot(rel. stderr of lhs, rel. stderr of the bound).
+
+    Certificates, integrals and the volume all use the sample set of
+    (body, cfg.seed, cfg.samples), so calls on one body with several
+    functions draw once."""
+    s = _sample_set(body, cfg)
     certify_subharmonic(body, fn, seed=cfg.seed)
     certify_boundary_nonnegative(body, fn, seed=cfg.seed)
     n = body.dimension
     lhs = volume_integral(body, fn, cfg)
     rhs = boundary_integral(body, fn, cfg)
-    vol = cg.volume(body, cfg)
+    vol = s.volume
     root = vol.mean ** (1.0 / n)
     bound = GRADIENT_CONSTANT * root * rhs.mean
     bound_se = math.hypot(
         GRADIENT_CONSTANT * root * rhs.stderr,
         GRADIENT_CONSTANT * rhs.mean * root * vol.stderr / (n * vol.mean)
         if vol.stderr else 0.0)
-    ratio = lhs.mean / (root * rhs.mean) if rhs.mean != 0 else math.inf
+    if rhs.mean != 0:
+        ratio = lhs.mean / (root * rhs.mean)
+        ratio_se = math.hypot(lhs.stderr / (root * rhs.mean),
+                              ratio * bound_se / bound)
+    else:
+        ratio = ratio_se = math.inf
     return make_report(
         "hermite_hadamard", lhs, bound,
         provenance="solid integral <= (sqrt(2)/pi) vol^(1/n) boundary integral "
                    "for subharmonic f, f >= 0 on the boundary",
         bound_stderr=bound_se,
         details={"ratio": ratio, "boundary_integral": rhs.mean,
-                 "volume_root": root, "fn": fn.to_json()})
+                 "volume_root": root, "fn": fn.to_json(),
+                 "ratio_stderr": ratio_se,
+                 "boundary_integral_stderr": rhs.stderr})
 
 
 def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
@@ -428,7 +570,9 @@ def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
     """Check the sharper intermediate inequality
     int_Omega f <= (max du/dnu) int_dOmega f with the sampled gradient
     maximum; numerically implies the theorem whenever the gradient bound
-    also holds."""
+    also holds.  Certificates and integrals use the sample set of
+    (body, cfg.seed, cfg.samples), shared with verify_theorem1."""
+    _sample_set(body, cfg)
     certify_subharmonic(body, fn, seed=cfg.seed)
     certify_boundary_nonnegative(body, fn, seed=cfg.seed)
     lhs = volume_integral(body, fn, cfg)

@@ -147,6 +147,31 @@ class TestDeterminismAndErrors:
         bad.write_text("{not json")
         assert run(["gradient", "--body", str(bad)] + BASE) == 2
 
+    @pytest.mark.parametrize("body_doc, fn_doc", [
+        ([1, 2], {"kind": "affine", "constant": 1.0, "linear": [0.0, 0.0]}),
+        ({"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                    "upper": "1 1"}},
+         {"kind": "affine", "constant": 1.0, "linear": [0.0, 0.0]}),
+        ({"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                    "upper": [1, 1]}}, [3]),
+        ({"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                    "upper": [1, 1]}},
+         {"kind": "affine", "constant": None, "linear": [0.0, 0.0]}),
+        ({"dimension": 2, "shape": {"type": "ball", "center": [float("nan"), 0.0],
+                                    "radius": 1.0}},
+         {"kind": "affine", "constant": 1.0, "linear": [0.0, 0.0]}),
+    ])
+    def test_malformed_json_files_exit_2_with_one_line(self, tmp_path, capsys,
+                                                       body_doc, fn_doc):
+        body_path, fn_path = tmp_path / "body.json", tmp_path / "fn.json"
+        body_path.write_text(json.dumps(body_doc))
+        fn_path.write_text(json.dumps(fn_doc))
+        code = run(["verify-hh", "--body", str(body_path), "--fn",
+                    str(fn_path), "--boundary-samples", "8"] + BASE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_stdout_when_no_out(self, capsys):
         assert run(["constants", "--n-max", "2"] + BASE) == 0
         captured = capsys.readouterr()

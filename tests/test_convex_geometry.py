@@ -261,6 +261,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             cg.Box([0, 0], [1, 0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ball_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            cg.Ball([value, 0.0], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            cg.Ball([0.0, 0.0], abs(value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ellipsoid_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            cg.Ellipsoid([0.0, value], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            cg.Ellipsoid([0.0, 0.0], [1.0, value])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_box_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            cg.Box([0.0, -value], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            cg.Box([0.0, 0.0], [value, 1.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_polytope_rejected(self, value):
+        halves = [(np.array([-1.0, 0.0]), 0.0), (np.array([0.0, -1.0]), 0.0),
+                  (np.array([1.0, 1.0]) / math.sqrt(2.0), 1.0)]
+        with pytest.raises(ValueError, match="finite"):
+            cg.Polytope(halves[:2] + [(np.array([value, 1.0]), 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            cg.Polytope(halves[:2] + [(halves[2][0], value)])
+
     def test_inradius(self):
         assert half_disk().inradius() == pytest.approx(0.5, abs=1e-6)
         assert cg.Box([0, 0], [2, 1]).inradius() == 0.5
@@ -287,3 +317,34 @@ class TestJson:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             cg.body_from_json({"dimension": 2, "shape": {"type": "torus"}})
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "ball",
+        None,
+        {"dimension": 2},
+        {"dimension": "2", "shape": {"type": "ball", "center": [0, 0],
+                                     "radius": 1.0}},
+        {"dimension": 2.0, "shape": {"type": "ball", "center": [0, 0],
+                                     "radius": 1.0}},
+        {"dimension": 2, "shape": [0, 0]},
+        {"dimension": 2, "shape": {"type": "ball", "center": [0, 0]}},
+        {"dimension": 2, "shape": {"type": "ball", "center": "00",
+                                   "radius": 1.0}},
+        {"dimension": 2, "shape": {"type": "ball", "center": [0, "0"],
+                                   "radius": 1.0}},
+        {"dimension": 2, "shape": {"type": "ball", "center": [0, 0],
+                                   "radius": True}},
+        {"dimension": 2, "shape": {"type": "ball", "center": [math.nan, 0],
+                                   "radius": 1.0}},
+        {"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                   "upper": {"x": 1}}},
+        {"dimension": 2, "shape": {"type": "polytope", "half_spaces": {}}},
+        {"dimension": 2, "shape": {"type": "polytope", "half_spaces": [[1, 0]]}},
+        {"dimension": 2, "shape": {"type": "polytope", "half_spaces": [
+            {"normal": [1, 0], "offset": "1"}]}},
+        {"dimension": 2, "shape": {"type": "intersection", "members": [1, 2]}},
+    ])
+    def test_malformed_documents_raise_value_error(self, doc):
+        with pytest.raises(ValueError):
+            cg.body_from_json(doc)

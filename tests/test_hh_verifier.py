@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsion_bound import analytic_library as al
 from torsion_bound import convex_geometry as cg
 from torsion_bound import hh_verifier as hh
 from torsion_bound import presets
@@ -71,6 +74,28 @@ class TestFunctionKinds:
             assert clone.to_json() == f.to_json()
             X = np.array([[0.1, 0.2], [-0.3, 0.4]])
             assert np.allclose(clone.value(X), f.value(X))
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "affine",
+        {"kind": "affine", "linear": [0.0, 1.0]},
+        {"kind": "affine", "constant": "1", "linear": [0.0, 1.0]},
+        {"kind": "affine", "constant": 1.0, "linear": [0.0, 1.0, 2.0]},
+        {"kind": "affine", "constant": float("nan"), "linear": [0.0, 1.0]},
+        {"kind": "quadratic", "center": {"x": 0.0}},
+        {"kind": "harmonic_polynomial", "terms": {"powers": [1, 0]}},
+        {"kind": "harmonic_polynomial", "terms": [{"powers": [1.5, 0],
+                                                   "coeff": 1.0}]},
+        {"kind": "harmonic_polynomial", "terms": [{"powers": [-1, 0],
+                                                   "coeff": 1.0}]},
+        {"kind": "shifted_norm", "anchor": 3.0},
+        {"kind": "positive_combination", "terms": [[2.0, {}]]},
+        {"kind": "positive_combination",
+         "terms": [{"weight": 1.0, "fn": [1]}]},
+    ])
+    def test_malformed_documents_raise_value_error(self, doc):
+        with pytest.raises(ValueError):
+            hh.fn_from_json(doc, 2)
 
 
 class TestCertificates:
@@ -214,9 +239,110 @@ class TestVerifyTheorem1:
         r1 = hh.verify_theorem1(body, f1, FAST)
         r2 = hh.verify_theorem1(body, f2, FAST)
         rc = hh.verify_theorem1(body, combo, FAST)
-        # same seed, same sample points: linearity is exact up to rounding
+        # the three calls integrate one shared sample set (the draws depend
+        # on the body, seed and sample count, never on f), and the volume
+        # factor is common, so linearity is exact up to rounding
         assert rc.margin == pytest.approx(2.0 * r1.margin + 0.5 * r2.margin,
                                           rel=1e-9)
+
+
+    def test_ratio_and_boundary_integral_stderr(self):
+        body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])
+        rep = hh.verify_theorem1(body, f, CFG)
+        d = rep.details
+        assert set(d) == {"ratio", "boundary_integral", "volume_root", "fn",
+                          "ratio_stderr", "boundary_integral_stderr"}
+        rhs = hh.boundary_integral(body, f, CFG)
+        assert d["boundary_integral"] == rhs.mean
+        assert d["boundary_integral_stderr"] == rhs.stderr > 0.0
+        rel = math.hypot(rep.measured.stderr / rep.measured.mean,
+                         rep.bound_stderr / rep.bound_value)
+        assert d["ratio_stderr"] == pytest.approx(d["ratio"] * rel, rel=1e-12)
+        # the stderr describes the reported ratio: the closed form lies
+        # within 4 of them
+        assert abs(d["ratio"] - al.half_disk_example().ratio) \
+            <= 4.0 * d["ratio_stderr"]
+
+
+class _WritesInput(hh.Affine):
+    """A test function that scribbles on the points it is given."""
+
+    def value(self, X):
+        X[:, 0] = 0.0
+        return super().value(X)
+
+
+def _fresh(body, fn, cfg, monkeypatch):
+    """verify_theorem1 with no sample set held."""
+    monkeypatch.setattr(hh, "_held", None)
+    return hh.verify_theorem1(body, fn, cfg)
+
+
+class TestSharedSampleSet:
+    def test_interleaved_calls_equal_fresh_computations(self, monkeypatch):
+        a, b = half_disk(), presets.simplex(2)
+        f1, f2 = hh.Affine(1.0, [0.0, -1.0]), hh.ShiftedNorm([3.0, 0.0])
+        order = [(a, f1), (b, f1), (a, f2), (a, f1)]
+        shared = [hh.verify_theorem1(body, fn, FAST) for body, fn in order]
+        fresh = [_fresh(body, fn, FAST, monkeypatch) for body, fn in order]
+        assert shared == fresh
+
+    def test_seed_samples_and_body_key_the_set(self, monkeypatch):
+        draws = []
+        inner = cg.interior_points
+
+        def counted(body, count, key):
+            draws.append(count)
+            return inner(body, count, key)
+
+        monkeypatch.setattr(hh, "_held", None)
+        monkeypatch.setattr(cg, "interior_points", counted)
+        body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])
+        reseeded = FAST.replace(seed=3)
+        # one solid sample and one certificate draw per new set
+        first = hh.verify_theorem1(body, f, FAST)
+        hh.verify_theorem1(body, hh.Affine(2.0, [0.0, -1.0]), FAST)
+        assert draws == [FAST.samples, 512]
+        second = hh.verify_theorem1(body, f, reseeded)
+        assert draws[2:] == [FAST.samples, 512]
+        hh.hh_via_torsion(body, f, reseeded.replace(samples=1000),
+                          boundary_samples=4)
+        assert draws[4:] == [1000, 512]
+        # an equal body that is another object draws its own set
+        hh.verify_theorem1(half_disk(), f, FAST)
+        assert draws[6:] == [FAST.samples, 512]
+        assert second != first
+        assert second == _fresh(body, f, reseeded, monkeypatch)
+
+    def test_function_writing_its_input_raises(self, monkeypatch):
+        body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])
+        expected = _fresh(body, f, FAST, monkeypatch)
+        for bad in (_WritesInput(1.0, [0.0, -1.0]),
+                    hh.PositiveCombination([(1.0, _WritesInput(1.0, [0.0, 0.0]))])):
+            with pytest.raises(ValueError, match="read-only"):
+                hh.verify_theorem1(body, bad, FAST)
+            assert hh.verify_theorem1(body, f, FAST) == expected
+        with pytest.raises(ValueError, match="read-only"):
+            hh.volume_integral(body, _WritesInput(1.0, [0.0, -1.0]), FAST)
+        with pytest.raises(ValueError, match="read-only"):
+            hh.boundary_integral(body, _WritesInput(1.0, [0.0, -1.0]), FAST)
+        assert hh.verify_theorem1(body, f, FAST) == expected
+
+
+_SUITE_CFG = WosConfig(samples=500, seed=11)
+_SUITE = [(body, fn) for _bn, body in presets.theorem1_suite(2)
+          for _fn, fn in presets.suite_functions(body)]
+_SUITE_REPORTS = []
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(len(_SUITE))))
+def test_suite_reports_independent_of_call_order(order):
+    if not _SUITE_REPORTS:
+        _SUITE_REPORTS.extend(hh.verify_theorem1(body, fn, _SUITE_CFG)
+                              for body, fn in _SUITE)
+    for i in order:
+        assert hh.verify_theorem1(*_SUITE[i], _SUITE_CFG) == _SUITE_REPORTS[i]
 
 
 class TestHhViaTorsion:
