@@ -4,7 +4,10 @@ The law of T = inf{t > 0 : B(t) = eps} has the reflection-principle CDF
 2 - 2 Phi(eps / sqrt(t)); this module exposes that closed form, its
 density, the truncated first moment with the sqrt(T) bound used by the
 exit-time argument, and a bridge-corrected Euler simulation for
-validating everything empirically.
+validating everything empirically.  The simulation runs its paths in
+blocks of at most _BLOCK_STEPS path-steps, one numpy pass per block;
+each path is keyed by (seed, path index), so the result does not depend
+on the block size.
 
 Note on naming: truncated_mean computes the plain truncated integral
 int_0^T t psi(t) dt (the quantity the exit-time proof consumes), not the
@@ -14,6 +17,7 @@ conditional expectation E(T | T <= T0), which would divide by P(T <= T0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,10 @@ from scipy.special import erf, erfc, ndtr
 from . import rng
 from .analytic_library import SQRT_2PI
 
+# Path-steps simulated per block (64 paths of 1000 steps); bounds the
+# block's arrays at about 0.5 MB each.
+_BLOCK_STEPS = 65_536
+
 
 @dataclass(frozen=True)
 class HittingTimeLaw:
@@ -31,8 +39,8 @@ class HittingTimeLaw:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
 
 
 def _check_positive(t, name: str):
@@ -132,36 +140,55 @@ def simulate_hitting_times(law: HittingTimeLaw, count: int, dt: float,
     Between consecutive positions below the level with gaps a, b > 0 the
     bridge crosses with probability exp(-2 a b / dt); without this
     correction the discrete walk undercounts crossings at O(sqrt(dt)).
-    Paths are keyed by (seed, path index) and independent of batching.
+    Clipping both gaps at 0 makes that probability 1 at the first step
+    on or above the level.  Paths run in blocks of at most _BLOCK_STEPS
+    path-steps, one row per path; each path draws its normals and then
+    its uniforms from the stream keyed by (seed, path index), so the
+    result does not depend on the block size.
     """
+    if not (math.isfinite(dt) and math.isfinite(horizon)):
+        raise ValueError("dt and horizon must be finite")
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
+    if not isinstance(count, numbers.Integral):
+        raise ValueError("count must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     if dt > law.epsilon**2 / 100.0:
         raise ValueError("dt must be at most epsilon^2 / 100")
     eps = law.epsilon
     nsteps = int(round(horizon / dt))
+    if nsteps < 1:
+        raise ValueError("horizon must span at least one step of dt")
     sqdt = math.sqrt(dt)
     key = rng.derive(seed, 0xB10)
+    rows = min(count, max(1, _BLOCK_STEPS // nsteps))
+    # block arrays, reused: normals become positions, then gaps to the level
+    normals = np.empty((rows, nsteps))
+    unif = np.empty((rows, nsteps))
+    bridge = np.empty((rows, nsteps))
     times = []
     censored = 0
-    for i in range(count):
-        gen = rng.path_generator(key, i)
-        x = np.cumsum(gen.standard_normal(nsteps) * sqdt)
-        gap_prev = eps - np.concatenate(([0.0], x[:-1]))
-        gap_next = eps - x
-        crossed = gap_next <= 0.0
-        p = np.zeros(nsteps)
-        below = ~crossed
-        p[below] = np.exp(-2.0 * gap_prev[below] * gap_next[below] / dt)
-        fire = crossed | (gen.random(nsteps) < p)
-        k = int(np.argmax(fire))
-        if fire[k]:
-            times.append((k + 1) * dt)
-        else:
-            censored += 1
-    return HittingTimeSample(times=np.array(times), censored=censored,
+    for first in range(0, count, rows):
+        m = min(rows, count - first)
+        gap, u, p = normals[:m], unif[:m], bridge[:m]
+        rng.path_draws(key, first, gap, u)
+        gap *= sqdt
+        np.cumsum(gap, axis=1, out=gap)
+        np.subtract(eps, gap, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        # p = exp(-2 a b / dt) with a the gap before the step, b after it
+        p[:, 0] = -2.0 * eps
+        np.multiply(gap[:, :-1], -2.0, out=p[:, 1:])
+        p *= gap
+        p /= dt
+        np.exp(p, out=p)
+        fire = u < p
+        k = np.argmax(fire, axis=1)
+        hit = fire[np.arange(m), k]
+        times.append((k[hit] + 1) * dt)
+        censored += m - int(np.count_nonzero(hit))
+    return HittingTimeSample(times=np.concatenate(times), censored=censored,
                              count=count, dt=dt, horizon=horizon)
 
 

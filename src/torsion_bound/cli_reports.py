@@ -14,7 +14,8 @@ Reports embed the fully resolved configuration; rerunning a command with
 the same arguments reproduces the report body byte for byte (the
 timestamp lives in a separate header field).  Exit codes: 0 all checks
 pass, 1 any bound violated or any estimate degraded (more than 1% of
-walks truncated), 2 invalid input.
+walks truncated), 2 invalid input or a body too thin to sample (a
+sampler starved).  Code 2 prints one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -419,7 +420,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            cg.SamplingStarved) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -50,6 +50,11 @@ _PILOT_KEY = 0x5EED0F11  # fixed internal key for mixture pilots
 _BATCH = 8192
 
 
+class SamplingStarved(RuntimeError):
+    """A rejection sampler ran out of candidates: the body (or one of its
+    faces) is too thin to sample."""
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A boundary sample: position, inward unit normal, importance weight.
@@ -122,7 +127,7 @@ class ConvexBody:
         next_id = 0
         while collected < count:
             if next_id > 100_000_000:
-                raise RuntimeError("boundary sampling starved (acceptance ~ 0)")
+                raise SamplingStarved("boundary sampling starved (acceptance ~ 0)")
             ids = np.arange(next_id, next_id + _BATCH, dtype=np.uint64)
             next_id += _BATCH
             pos, nrm, wgt, ok = self._boundary_batch(key, ids)
@@ -629,7 +634,7 @@ class Polytope(ConvexBody):
                 coords[hit] = y[good]
                 unresolved[hit] = False
             else:
-                raise RuntimeError("face sampling starved; degenerate face?")
+                raise SamplingStarved("face sampling starved; degenerate face?")
             pos[sel_idx] = face.plane_point + coords @ face.basis.T
             nrm[sel_idx] = -face.normal
         wgt = np.full(len(ids), total)
@@ -876,7 +881,7 @@ def interior_points(body: ConvexBody, count: int, key: int) -> np.ndarray:
     next_id = 0
     while collected < count:
         if next_id > 100_000_000:
-            raise RuntimeError("interior sampling starved (volume ~ 0?)")
+            raise SamplingStarved("interior sampling starved (volume ~ 0?)")
         ids = np.arange(next_id, next_id + _BATCH, dtype=np.uint64)
         next_id += _BATCH
         pts = lo + rng.uniforms(key, ids, 0, body.dimension) * (hi - lo)

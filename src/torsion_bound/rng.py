@@ -8,8 +8,12 @@ coordinates, so results do not depend on batch sizes or call order:
   "unit" is a walk index, candidate index, or path index; any partition
   of the units into batches reproduces the same values bit for bit.
 * ``path_generator(key, index)`` builds a counter-based Philox generator
-  keyed by ``(key, index)`` for sequential 1-D path simulation, where a
-  single unit needs a long private stream.
+  keyed by ``(key, index)``: the long private stream of one 1-D path.
+* ``path_draws(key, first, normals, unif)`` fills a block of such paths
+  at once for the 1-D simulation: row i holds path ``first + i``'s
+  normals and then its uniforms, exactly as ``path_generator`` would
+  draw them, so any partition of the paths into blocks reproduces the
+  same values.
 
 ``derive`` folds operation tags and sub-indices into fresh keys so that
 distinct operations sharing one user seed consume disjoint streams.
@@ -92,11 +96,6 @@ def uniforms(key: int, units: np.ndarray, counter: int, nslots: int) -> np.ndarr
     return out
 
 
-def standard_normals(key: int, units: np.ndarray, counter: int, nslots: int) -> np.ndarray:
-    """Standard normal deviates via the inverse CDF of ``uniforms``."""
-    return ndtri(uniforms(key, units, counter, nslots))
-
-
 def unit_vectors(key: int, units: np.ndarray, counter: int, dim: int) -> np.ndarray:
     """Uniform directions on the unit sphere S^{dim-1}, one per unit.
 
@@ -112,13 +111,37 @@ def unit_vectors(key: int, units: np.ndarray, counter: int, dim: int) -> np.ndar
         phi = 2.0 * np.pi * u[:, 1]
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
-    g = standard_normals(key, units, counter, dim)
+    g = ndtri(uniforms(key, units, counter, dim))
     norm = np.linalg.norm(g, axis=1)
     norm[norm < 1e-300] = 1.0
     return g / norm[:, None]
 
 
+def _path_key(key: int, index: int) -> np.ndarray:
+    return np.array([int(key) & _MASK, int(index) & _MASK], dtype=np.uint64)
+
+
 def path_generator(key: int, index: int) -> np.random.Generator:
     """Philox generator for path ``index``; independent across indices."""
-    k = np.array([int(key) & _MASK, int(index) & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=k))
+    return np.random.Generator(np.random.Philox(key=_path_key(key, index)))
+
+
+def path_draws(key: int, first: int, normals: np.ndarray,
+               unif: np.ndarray) -> None:
+    """Fill row i of ``normals`` and ``unif`` (C-contiguous, equal shapes
+    ``(count, nsteps)``) with the draws of path ``first + i``.
+
+    Row i equals ``path_generator(key, first + i).standard_normal(nsteps)``
+    and the ``random(nsteps)`` drawn after it.  One Philox bit generator
+    is re-keyed per path through its state setter, which costs less than
+    building a generator per path; filling in place lets a caller reuse
+    its block arrays.
+    """
+    bits = np.random.Philox(key=_path_key(key, first))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for i in range(len(normals)):
+        fresh["state"]["key"] = _path_key(key, first + i)
+        bits.state = fresh
+        gen.standard_normal(out=normals[i])
+        gen.random(out=unif[i])

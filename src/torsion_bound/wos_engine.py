@@ -237,7 +237,7 @@ def _stratified_boundary(body: ConvexBody, count: int, key: int):
                 nrm_parts.append(v[ok])
                 collected += int(ok.sum())
                 if next_id > 1_000_000:
-                    raise RuntimeError("stratified member sampling starved")
+                    raise cg.SamplingStarved("stratified member sampling starved")
         pos = np.concatenate(pos_parts)[:count]
         nrm = np.concatenate(nrm_parts)[:count]
         return pos, nrm
@@ -261,7 +261,7 @@ def _polytope_face_points(body: "cg.Polytope", face, count: int,
                                      + good[:take] @ face.basis.T)
         filled += take
         if next_id > 1_000_000:
-            raise RuntimeError("face sampling starved")
+            raise cg.SamplingStarved("face sampling starved")
     return out
 
 

@@ -127,6 +127,37 @@ def ks_statistic_scipy(times, cdf_fn) -> float:
     return float(kstest(times, cdf_fn).statistic)
 
 
+def hitting_times_loop(law, count: int, dt: float, horizon: float,
+                       seed: int) -> tuple[np.ndarray, int]:
+    """Reference for simulate_hitting_times: one fresh Philox generator and
+    one pass of 1-D numpy calls per path (the library's earlier loop).
+    Returns the crossing times and the censored count."""
+    from torsion_bound import rng
+
+    eps = law.epsilon
+    nsteps = int(round(horizon / dt))
+    sqdt = math.sqrt(dt)
+    key = rng.derive(seed, 0xB10)
+    times = []
+    censored = 0
+    for i in range(count):
+        gen = rng.path_generator(key, i)
+        x = np.cumsum(gen.standard_normal(nsteps) * sqdt)
+        gap_prev = eps - np.concatenate(([0.0], x[:-1]))
+        gap_next = eps - x
+        crossed = gap_next <= 0.0
+        p = np.zeros(nsteps)
+        below = ~crossed
+        p[below] = np.exp(-2.0 * gap_prev[below] * gap_next[below] / dt)
+        fire = crossed | (gen.random(nsteps) < p)
+        k = int(np.argmax(fire))
+        if fire[k]:
+            times.append((k + 1) * dt)
+        else:
+            censored += 1
+    return np.array(times), censored
+
+
 def ellipse_boundary_gradient_max(semi_axes, coefficient: float,
                                   n_grid: int = 200_000) -> float:
     """Dense parametric maximization of |grad u| over an ellipse boundary

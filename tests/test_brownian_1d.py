@@ -177,6 +177,41 @@ class TestSimulation:
             b1.simulate_hitting_times(b1.HittingTimeLaw(1.0), 10, dt=-1.0,
                                       horizon=1.0, seed=0)
 
+    @pytest.mark.parametrize("eps, count, dt, horizon", [
+        (math.nan, 10, 1e-3, 1.0),
+        (math.inf, 10, 1e-3, 1.0),
+        (1.0, 10, math.nan, 1.0),
+        (1.0, 10, math.inf, 1.0),
+        (1.0, 10, 1e-3, math.nan),
+        (1.0, 10, 1e-3, math.inf),
+        (1.0, 2.5, 1e-3, 1.0),
+        (1.0, 10, 1e-3, 4e-4),  # horizon rounds to zero steps
+    ])
+    def test_rejects_invalid_inputs(self, eps, count, dt, horizon):
+        with pytest.raises(ValueError):
+            b1.simulate_hitting_times(b1.HittingTimeLaw(eps), count, dt,
+                                      horizon, seed=0)
+
+    @pytest.mark.parametrize("nsteps", [10, 1000])
+    def test_blocks_equal_per_path_loop(self, monkeypatch, nsteps):
+        # eps = 1 with dt = eps^2 / 100 (10 steps) or 1e-3 (1000 steps)
+        law = b1.HittingTimeLaw(1.0)
+        dt = 1e-2 if nsteps == 10 else 1e-3
+        rows = b1._BLOCK_STEPS // nsteps
+        hits = 0
+        for count in (1, rows - 1, rows, rows + 1, 300):
+            times, censored = oracles.hitting_times_loop(law, count, dt,
+                                                         nsteps * dt, seed=41)
+            hits += len(times)
+            for budget in (b1._BLOCK_STEPS, nsteps, count * nsteps):
+                monkeypatch.setattr(b1, "_BLOCK_STEPS", budget)
+                sample = b1.simulate_hitting_times(law, count, dt,
+                                                   nsteps * dt, seed=41)
+                assert np.array_equal(sample.times, times)
+                assert sample.censored == censored
+            monkeypatch.undo()
+        assert hits > 0
+
     def test_deterministic(self):
         law = b1.HittingTimeLaw(1.0)
         a = b1.simulate_hitting_times(law, 50, 1e-3, 0.5, seed=3)

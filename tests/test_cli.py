@@ -6,6 +6,7 @@ import json
 import pytest
 
 from torsion_bound import cli_reports as cli
+from torsion_bound import convex_geometry as cg
 
 
 def run(argv):
@@ -171,6 +172,19 @@ class TestDeterminismAndErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_starved_sampler_exits_2_with_one_line(self, monkeypatch,
+                                                   capsys):
+        # a real starvation takes 1e8 candidates; raise it from the sampler
+        def starved(body, count, key):
+            raise cg.SamplingStarved("interior sampling starved (volume ~ 0?)")
+
+        monkeypatch.setattr(cg, "interior_points", starved)
+        code = run(["verify-hh", "--preset", "half-disk-affine",
+                    "--boundary-samples", "8"] + BASE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: interior sampling starved (volume ~ 0?)\n"
 
     def test_stdout_when_no_out(self, capsys):
         assert run(["constants", "--n-max", "2"] + BASE) == 0

@@ -87,3 +87,13 @@ class TestPathGenerator:
         b = rng.path_generator(5, 1).standard_normal(8)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+
+class TestPathDraws:
+    def test_rows_equal_path_generator_streams(self):
+        normals, unif = np.empty((5, 37)), np.empty((5, 37))
+        rng.path_draws(9, 3, normals, unif)
+        for i in range(5):
+            gen = rng.path_generator(9, 3 + i)
+            assert np.array_equal(normals[i], gen.standard_normal(37))
+            assert np.array_equal(unif[i], gen.random(37))
