@@ -17,7 +17,7 @@ from .brownian_1d import (HittingTimeLaw, HittingTimeSample, cdf, density,
 from .convex_geometry import (Ball, BoundaryPoint, Box, ConvexBody, Ellipsoid,
                               Intersection, Polytope, body_from_json,
                               body_to_json, contains, distance_to_boundary,
-                              sample_boundary, surface_area, volume)
+                              surface_area, volume)
 from .estimates import Estimate, WosConfig
 from .hh_verifier import (Affine, CertificateError, HarmonicPolynomial,
                           PositiveCombination, Quadratic, ShiftedNorm,

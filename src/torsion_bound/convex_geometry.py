@@ -8,8 +8,13 @@ walk-on-spheres step always stays inside the body), bounding box, volume
 (exact where a closed form exists, rejection Monte Carlo otherwise), and
 surface-measure boundary sampling with per-point importance weights.
 
-All sampling is keyed by (seed, candidate index), so sample lists are
-bit-reproducible and independent of batch sizes.
+Only this module knows how a body's boundary is stratified (the faces of
+a box or polytope, the members of an intersection; balls and ellipsoids
+have no strata).
+
+All sampling is keyed by (seed, candidate index), and every rejection
+sampler consumes candidate ids in order through ``_keyed_rejection``, so
+sample lists are bit-reproducible and independent of batch sizes.
 
 JSON schema (round-trips losslessly):
 
@@ -40,12 +45,9 @@ from .analytic_library import ball_surface_area, ball_volume, unit_sphere_area
 from .estimates import Estimate, WosConfig
 
 _TOL = 1e-12
-_UNIT_TOL = 1e-12
 # operation tags for stream derivation
-_OP_BOUNDARY = 101
 _OP_VOLUME = 102
 _OP_AREA = 103
-_OP_INTERIOR = 104
 _PILOT_KEY = 0x5EED0F11  # fixed internal key for mixture pilots
 _BATCH = 8192
 
@@ -57,15 +59,10 @@ class SamplingStarved(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A boundary sample: position, inward unit normal, importance weight.
-
-    Weights are d(sigma)/d(sampling law); they are constant for uniformly
-    sampled shapes and vary on ellipsoids and intersections.
-    """
+    """A boundary point with its inward unit normal."""
 
     position: np.ndarray
     inward_normal: np.ndarray
-    weight: float = 1.0
 
 
 class ConvexBody:
@@ -122,25 +119,36 @@ class ConvexBody:
         consuming candidate ids in order so the result is batch-invariant."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        pos_parts, nrm_parts, wgt_parts = [], [], []
-        collected = 0
-        next_id = 0
-        while collected < count:
-            if next_id > 100_000_000:
-                raise SamplingStarved("boundary sampling starved (acceptance ~ 0)")
-            ids = np.arange(next_id, next_id + _BATCH, dtype=np.uint64)
-            next_id += _BATCH
-            pos, nrm, wgt, ok = self._boundary_batch(key, ids)
-            if not ok.all():
-                pos, nrm, wgt = pos[ok], nrm[ok], wgt[ok]
-            pos_parts.append(pos)
-            nrm_parts.append(nrm)
-            wgt_parts.append(wgt)
-            collected += len(pos)
-        pos = np.concatenate(pos_parts)[:count]
-        nrm = np.concatenate(nrm_parts)[:count]
-        wgt = np.concatenate(wgt_parts)[:count]
-        return pos, nrm, wgt
+        return _keyed_rejection(lambda ids: self._boundary_batch(key, ids),
+                                count, _BATCH, 100_000_000,
+                                "boundary sampling starved (acceptance ~ 0)")
+
+    # -- stratified boundary sampling ---------------------------------------
+
+    def _strata(self) -> tuple[int, np.ndarray] | None:
+        """(stream tag, weights) of the body's boundary strata, or None
+        when it has none.  A body with strata defines ``_stratum(index,
+        key)``: the ``_keyed_rejection`` draw of one stratum, ids ->
+        (positions, inward normals, weights, ok) as in ``_boundary_batch``."""
+        return None
+
+    def stratified_boundary(self, count: int, key: int):
+        """``count`` boundary points (positions, inward normals), stratum by
+        stratum: each stratum gets exactly its ``_largest_remainder`` share
+        of ``count`` by weight (at least one point when ``count`` allows),
+        drawn through ``_keyed_rejection`` on its own stream (key, tag,
+        index).  A body without strata samples its whole boundary."""
+        strata = self._strata()
+        if strata is None:
+            return self.boundary_arrays(count, key)[:2]
+        tag, weights = strata
+        parts = [_keyed_rejection(self._stratum(i, rng.derive(key, tag, i)),
+                                  cnt, 4 * cnt + 64, 1_000_000,
+                                  "stratum sampling starved")[:2]
+                 for i, cnt in enumerate(_largest_remainder(weights, count))
+                 if cnt]
+        pos, nrm = zip(*parts)
+        return np.concatenate(pos), np.concatenate(nrm)
 
     # -- serialization ---------------------------------------------------
 
@@ -149,6 +157,47 @@ class ConvexBody:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.dimension})"
+
+
+def _keyed_rejection(draw, count: int, batch: int, limit: int, starved: str):
+    """Exactly ``count`` accepted candidates.
+
+    ``draw(ids)`` returns arrays with one row per candidate id, then a
+    mask of the accepted rows.  Ids are consumed in order from 0 in
+    batches of ``batch``, so the accepted rows do not depend on the batch
+    size.  Raises SamplingStarved(``starved``) once more than ``limit``
+    ids were drawn without filling ``count``.
+    """
+    parts = []
+    collected = 0
+    next_id = 0
+    while collected < count:
+        if next_id > limit:
+            raise SamplingStarved(starved)
+        ids = np.arange(next_id, next_id + batch, dtype=np.uint64)
+        next_id += batch
+        *arrays, ok = draw(ids)
+        if not ok.all():
+            arrays = [a[ok] for a in arrays]
+        parts.append(arrays)
+        collected += len(arrays[0])
+    return tuple(np.concatenate(col)[:count] for col in zip(*parts))
+
+
+def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
+    """Allocate ``total`` integer counts proportional to weights."""
+    share = weights / weights.sum() * total
+    counts = np.floor(share).astype(int)
+    short = total - counts.sum()
+    if short > 0:
+        order = np.argsort(share - counts)[::-1]
+        counts[order[:short]] += 1
+    # give every stratum at least one sample when the budget allows
+    while total >= len(weights) and (counts == 0).any():
+        donor = int(np.argmax(counts))
+        counts[int(np.argmin(counts))] += 1
+        counts[donor] -= 1
+    return counts
 
 
 def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
@@ -215,12 +264,10 @@ class Ellipsoid(ConvexBody):
     distances_many returns the certified lower bound b_min (1 - sqrt(q)),
     exact at the center and along the shortest axis (the quadratic form q
     has |grad sqrt(q)| <= 1/b_min, so integrating along the segment to the
-    nearest boundary point gives the bound).  Construct with
-    exact_distance=True to refine by bisection on the nearest-point
-    equation instead.
+    nearest boundary point gives the bound).
     """
 
-    def __init__(self, center, semi_axes, exact_distance: bool = False):
+    def __init__(self, center, semi_axes):
         center = np.asarray(center, dtype=float)
         semi_axes = np.asarray(semi_axes, dtype=float)
         if center.ndim != 1 or center.size < 2:
@@ -231,7 +278,6 @@ class Ellipsoid(ConvexBody):
             raise ValueError("semi_axes must be positive and match the center")
         self.center = center
         self.semi_axes = semi_axes
-        self.exact_distance = bool(exact_distance)
         self.dimension = center.size
 
     def _q(self, points):
@@ -242,8 +288,6 @@ class Ellipsoid(ConvexBody):
         return self._q(points) <= 1.0
 
     def distances_many(self, points):
-        if self.exact_distance:
-            return np.array([ellipsoid_exact_distance(self, p) for p in points])
         b_min = self.semi_axes.min()
         return b_min * (1.0 - np.sqrt(self._q(points)))
 
@@ -276,43 +320,6 @@ class Ellipsoid(ConvexBody):
     def shape_json(self):
         return {"type": "ellipsoid", "center": self.center.tolist(),
                 "semi_axes": self.semi_axes.tolist()}
-
-
-def ellipsoid_exact_distance(body: Ellipsoid, x) -> float:
-    """Distance from an interior point to the ellipsoid boundary, by
-    bisection on the nearest-point parameter t in (-b_min^2, 0]:
-    the nearest boundary point is z_i = b_i^2 y_i / (b_i^2 + t) with
-    sum (b_i y_i / (b_i^2 + t))^2 = 1 (y = x - center).
-
-    Falls back to the certified lower bound in the degenerate case where
-    the query has no component along any shortest axis.
-    """
-    y = _as_vector(x, body.dimension) - body.center
-    b2 = body.semi_axes**2
-    q = float(np.sum((y / body.semi_axes) ** 2))
-    if q > 1.0:
-        raise ValueError("point lies outside the ellipsoid")
-    lower = float(body.semi_axes.min()) * (1.0 - math.sqrt(q))
-
-    def f(t):
-        return float(np.sum((body.semi_axes * y / (b2 + t)) ** 2)) - 1.0
-
-    lo = -float(b2.min())
-    lo_probe = lo * (1.0 - 1e-13) + 0.0
-    if f(lo_probe) < 0.0:  # degenerate: nearest point leaves the axis span
-        return lower
-    hi = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo_probe + hi)
-        if f(mid) > 0.0:
-            lo_probe = mid
-        else:
-            hi = mid
-        if hi - lo_probe < 1e-16 * float(b2.max()):
-            break
-    t = 0.5 * (lo_probe + hi)
-    d = math.sqrt(float(np.sum((y * t / (b2 + t)) ** 2)))
-    return max(d, lower)
 
 
 class Box(ConvexBody):
@@ -366,6 +373,17 @@ class Box(ConvexBody):
         areas = np.array([f[2] for f in faces])
         return faces, np.cumsum(areas), float(areas.sum())
 
+    def _face_points(self, fi: int, u: np.ndarray):
+        """(positions, inward normals) on face ``fi`` from uniforms ``u``
+        whose slots 1..n-1 place the point on the face."""
+        k, side, _area, normal = self._face_table[0][fi]
+        other = [j for j in range(self.dimension) if j != k]
+        pos = np.empty((len(u), self.dimension))
+        pos[:, other] = self.lower[other] + u[:, 1:] \
+            * (self.upper[other] - self.lower[other])
+        pos[:, k] = self.lower[k] if side == 0 else self.upper[k]
+        return pos, np.tile(normal, (len(u), 1))
+
     def _boundary_batch(self, key, ids):
         faces, cum, total = self._face_table
         n = self.dimension
@@ -374,20 +392,24 @@ class Box(ConvexBody):
         face_idx = np.minimum(face_idx, len(faces) - 1)
         pos = np.empty((len(ids), n))
         nrm = np.empty((len(ids), n))
-        for fi, (k, side, _area, normal) in enumerate(faces):
+        for fi in range(len(faces)):
             sel = np.nonzero(face_idx == fi)[0]
-            if sel.size == 0:
-                continue
-            other = [j for j in range(n) if j != k]
-            coords = self.lower[other] + u[np.ix_(sel, range(1, n))] \
-                * (self.upper[other] - self.lower[other])
-            block = np.empty((sel.size, n))
-            block[:, other] = coords
-            block[:, k] = self.lower[k] if side == 0 else self.upper[k]
-            pos[sel] = block
-            nrm[sel] = normal
+            if sel.size:
+                pos[sel], nrm[sel] = self._face_points(fi, u[sel])
         wgt = np.full(len(ids), total)
         return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
+
+    def _strata(self):
+        return 31, np.array([f[2] for f in self._face_table[0]])
+
+    def _stratum(self, index, key):
+        total = self._face_table[2]
+
+        def draw(ids):
+            u = rng.uniforms(key, ids, 0, self.dimension)
+            pos, nrm = self._face_points(index, u)
+            return pos, nrm, np.full(len(ids), total), np.ones(len(ids), dtype=bool)
+        return draw
 
     def shape_json(self):
         return {"type": "box", "lower": self.lower.tolist(),
@@ -500,6 +522,15 @@ class _Face:
     chart_lo: np.ndarray    # bounding box of the face in the chart
     chart_hi: np.ndarray
     area: float
+
+    def to_space(self, coords: np.ndarray) -> np.ndarray:
+        """Points of the face's hyperplane at chart coordinates ``coords``."""
+        if len(coords) == 1:
+            # numpy multiplies a single row by gemv, which rounds unlike
+            # gemm; doubling the row keeps each point independent of how
+            # many points share the call
+            return self.to_space(np.vstack((coords, coords)))[:1]
+        return self.plane_point + coords @ self.basis.T
 
 
 class Polytope(ConvexBody):
@@ -620,25 +651,37 @@ class Polytope(ConvexBody):
             if sel_idx.size == 0:
                 continue
             span = face.chart_hi - face.chart_lo
-            pending = ids[sel_idx]
             coords = np.empty((sel_idx.size, n - 1))
-            unresolved = np.ones(sel_idx.size, dtype=bool)
+            todo = np.arange(sel_idx.size)  # rows still outside the face
             for round_ in range(1, 10_001):
-                active = np.nonzero(unresolved)[0]
-                if active.size == 0:
+                if todo.size == 0:
                     break
-                u = rng.uniforms(key, pending[active], round_, n - 1)
+                u = rng.uniforms(key, ids[sel_idx[todo]], round_, n - 1)
                 y = face.chart_lo + u * span
                 good = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
-                hit = active[good]
-                coords[hit] = y[good]
-                unresolved[hit] = False
+                coords[todo[good]] = y[good]
+                todo = todo[~good]
             else:
                 raise SamplingStarved("face sampling starved; degenerate face?")
-            pos[sel_idx] = face.plane_point + coords @ face.basis.T
+            pos[sel_idx] = face.to_space(coords)
             nrm[sel_idx] = -face.normal
         wgt = np.full(len(ids), total)
         return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
+
+    def _strata(self):
+        return 37, np.array([f.area for f in self.faces])
+
+    def _stratum(self, index, key):
+        face = self.faces[index]
+        span = face.chart_hi - face.chart_lo
+        total = self._face_cum[1]
+
+        def draw(ids):
+            y = face.chart_lo + rng.uniforms(key, ids, 0, self.dimension - 1) * span
+            ok = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
+            return (face.to_space(y), np.tile(-face.normal, (len(ids), 1)),
+                    np.full(len(ids), total), ok)
+        return draw
 
     def shape_json(self):
         return {"type": "polytope",
@@ -653,7 +696,9 @@ class Intersection(ConvexBody):
     intersection's bounding box for unbounded half-space members) with
     mixture probabilities proportional to member boundary areas, then
     rejects points outside the other members; accepted points carry the
-    importance weight d(sigma)/d(law).
+    importance weight d(sigma)/d(law).  The stratified sample gives each
+    member its share of the points by the same mixture fractions, drawn
+    on the member's boundary and accepted inside the other members.
     """
 
     def __init__(self, members):
@@ -757,20 +802,28 @@ class Intersection(ConvexBody):
         pos = np.empty((len(ids), n))
         nrm = np.empty((len(ids), n))
         wgt = np.empty(len(ids))
-        for k, sampler in enumerate(samplers):
+        ok = np.empty(len(ids), dtype=bool)
+        for k in range(len(samplers)):
             sel = member_idx == k
-            if not sel.any():
-                continue
-            p, v, w, ok = sampler._boundary_batch(rng.derive(key, 7100 + k),
-                                                  ids[sel])
-            assert ok.all()
-            pos[sel], nrm[sel], wgt[sel] = p, v, w / fracs[k]
-        ok = np.ones(len(ids), dtype=bool)
-        for j, m in enumerate(self.members):
-            rest = member_idx != j
-            inside = m.contains_many(pos)
-            ok &= inside | ~rest  # a point need only lie in the *other* members
+            if sel.any():
+                draw = self._stratum(k, rng.derive(key, 7100 + k))
+                pos[sel], nrm[sel], w, ok[sel] = draw(ids[sel])
+                wgt[sel] = w / fracs[k]
         return pos, nrm, wgt, ok
+
+    def _strata(self):
+        return 41, self._mixture[1]
+
+    def _stratum(self, index, key):
+        sampler = self._mixture[0][index]
+        others = [m for j, m in enumerate(self.members) if j != index]
+
+        def draw(ids):
+            pos, nrm, wgt, ok = sampler._boundary_batch(key, ids)
+            for m in others:  # a point need only lie in the *other* members
+                ok &= m.contains_many(pos)
+            return pos, nrm, wgt, ok
+        return draw
 
     def shape_json(self):
         return {"type": "intersection",
@@ -863,32 +916,17 @@ def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
     return Estimate.from_values(vals)
 
 
-def sample_boundary(body: ConvexBody, count: int, seed: int) -> list[BoundaryPoint]:
-    """``count`` boundary points distributed by surface measure, carrying
-    importance weights; bit-identical lists for identical seeds."""
-    pos, nrm, wgt = body.boundary_arrays(count, rng.derive(seed, _OP_BOUNDARY))
-    return [BoundaryPoint(position=p, inward_normal=v, weight=float(w))
-            for p, v, w in zip(pos, nrm, wgt)]
-
-
 def interior_points(body: ConvexBody, count: int, key: int) -> np.ndarray:
     """Exactly ``count`` uniform interior samples by bounding-box rejection."""
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = body.bounding_box()
-    parts = []
-    collected = 0
-    next_id = 0
-    while collected < count:
-        if next_id > 100_000_000:
-            raise SamplingStarved("interior sampling starved (volume ~ 0?)")
-        ids = np.arange(next_id, next_id + _BATCH, dtype=np.uint64)
-        next_id += _BATCH
+
+    def draw(ids):
         pts = lo + rng.uniforms(key, ids, 0, body.dimension) * (hi - lo)
-        pts = pts[body.contains_many(pts)]
-        parts.append(pts)
-        collected += len(pts)
-    return np.concatenate(parts)[:count]
+        return pts, body.contains_many(pts)
+    return _keyed_rejection(draw, count, _BATCH, 100_000_000,
+                            "interior sampling starved (volume ~ 0?)")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import convex_geometry as cg
 from . import rng
@@ -91,33 +90,6 @@ def _poly_laplacian(terms: dict, n: int) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _poly_affine_sub(terms: dict, center: np.ndarray, scale: float) -> dict:
-    """Rewrite a polynomial in x as one in y, where x = center + scale * y."""
-    out: dict = defaultdict(float)
-    for powers, coeff in terms.items():
-        partial = {(): coeff}
-        for i, p in enumerate(powers):
-            grown: dict = defaultdict(float)
-            for mono, cf in partial.items():
-                for k in range(p + 1):
-                    grown[mono + (k,)] += (cf * math.comb(p, k)
-                                           * scale**k * center[i] ** (p - k))
-            partial = grown
-        for mono, cf in partial.items():
-            out[mono] += cf
-    return dict(out)
-
-
-def _unit_ball_monomial(n: int, powers) -> float:
-    """Integral of prod x_i^{p_i} over the unit ball; zero for odd powers."""
-    if any(p % 2 for p in powers):
-        return 0.0
-    total = sum(powers)
-    log_val = (sum(gammaln((p + 1) / 2.0) for p in powers)
-               - gammaln((n + total) / 2.0 + 1.0))
-    return math.exp(log_val)
-
-
 # ---------------------------------------------------------------------------
 # test-function kinds
 
@@ -130,10 +102,6 @@ class SubharmonicFn:
 
     def laplacian(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def as_polynomial(self, n: int) -> dict | None:
-        """Term dict when the function is polynomial, else None."""
-        return None
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -157,15 +125,6 @@ class Affine(SubharmonicFn):
     def laplacian(self, X):
         return np.zeros(len(X))
 
-    def as_polynomial(self, n):
-        terms = {tuple([0] * n): self.constant}
-        for i, a in enumerate(self.linear):
-            if a != 0.0:
-                p = [0] * n
-                p[i] = 1
-                terms[tuple(p)] = float(a)
-        return terms
-
     def to_json(self):
         return {"kind": "affine", "constant": self.constant,
                 "linear": self.linear.tolist()}
@@ -188,18 +147,6 @@ class Quadratic(SubharmonicFn):
 
     def laplacian(self, X):
         return np.full(len(X), 2.0 * self.center.size)
-
-    def as_polynomial(self, n):
-        terms: dict = defaultdict(float)
-        terms[tuple([0] * n)] += self.constant + float(self.center @ self.center)
-        for i in range(n):
-            sq = [0] * n
-            sq[i] = 2
-            terms[tuple(sq)] += 1.0
-            lin = [0] * n
-            lin[i] = 1
-            terms[tuple(lin)] += self.linear[i] - 2.0 * self.center[i]
-        return dict(terms)
 
     def to_json(self):
         return {"kind": "quadratic", "center": self.center.tolist(),
@@ -231,9 +178,6 @@ class HarmonicPolynomial(SubharmonicFn):
         if not self._laplacian_terms:
             return np.zeros(len(X))
         return _poly_eval(self._laplacian_terms, X)
-
-    def as_polynomial(self, n):
-        return dict(self.terms)
 
     def to_json(self):
         return {"kind": "harmonic_polynomial",
@@ -280,16 +224,6 @@ class PositiveCombination(SubharmonicFn):
         for w, fn in self.parts:
             out += w * fn.laplacian(X)
         return out
-
-    def as_polynomial(self, n):
-        total: dict = defaultdict(float)
-        for w, fn in self.parts:
-            terms = fn.as_polynomial(n)
-            if terms is None:
-                return None
-            for p, c in terms.items():
-                total[p] += w * c
-        return dict(total)
 
     def to_json(self):
         return {"kind": "positive_combination",
@@ -376,10 +310,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _draw_cert_probes(body: cg.ConvexBody, seed: int, probes: int):
+def _draw_cert_probes(body: cg.ConvexBody, seed: int):
     """(interior, boundary) certificate probe positions."""
-    boundary = body.boundary_arrays(probes, rng.derive(seed, _TAG_CERT, 2))[0]
-    interior = cg.interior_points(body, probes, rng.derive(seed, _TAG_CERT, 1))
+    boundary = body.boundary_arrays(_CERT_PROBES,
+                                    rng.derive(seed, _TAG_CERT, 2))[0]
+    interior = cg.interior_points(body, _CERT_PROBES,
+                                  rng.derive(seed, _TAG_CERT, 1))
     return _read_only(interior, boundary)
 
 
@@ -401,8 +337,7 @@ def _sample_set(body: cg.ConvexBody, cfg: WosConfig) -> _SampleSet:
     del _nrm
     interior = cg.interior_points(body, cfg.samples,
                                   rng.derive(cfg.seed, _TAG_VOLUME_INT))
-    cert_interior, cert_boundary = _draw_cert_probes(body, cfg.seed,
-                                                     _CERT_PROBES)
+    cert_interior, cert_boundary = _draw_cert_probes(body, cfg.seed)
     _held = _SampleSet(body, cfg.seed, cfg.samples, cert_interior,
                        cert_boundary, *_read_only(interior, pos, wgt),
                        volume=cg.volume(body, cfg),
@@ -410,14 +345,13 @@ def _sample_set(body: cg.ConvexBody, cfg: WosConfig) -> _SampleSet:
     return _held
 
 
-def _cert_probes(body: cg.ConvexBody, seed: int, probes: int):
+def _cert_probes(body: cg.ConvexBody, seed: int):
     """The held set's certificate probes when it belongs to this body and
     seed (they do not depend on its sample count), else a fresh draw."""
     held = _held
-    if (held is not None and held.body is body and held.seed == seed
-            and probes == _CERT_PROBES):
+    if held is not None and held.body is body and held.seed == seed:
         return held.cert_interior, held.cert_boundary
-    return _draw_cert_probes(body, seed, probes)
+    return _draw_cert_probes(body, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +359,13 @@ def _cert_probes(body: cg.ConvexBody, seed: int, probes: int):
 
 
 def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
-                        seed: int = 0, probes: int = _CERT_PROBES) -> None:
-    """Check lap f >= -tol on interior probe points (exact for polynomial
-    kinds whose symbolic Laplacian is constant-sign); raises
+                        seed: int = 0) -> None:
+    """Check lap f >= -tol on _CERT_PROBES interior probe points (exact for
+    polynomial kinds whose symbolic Laplacian is constant-sign); raises
     CertificateError with a witness on failure.
 
-    The probes are keyed by (seed, probe index) only; with the default
-    probe count they are those of the held sample set when it belongs to
-    this body and seed."""
+    The probes are keyed by (seed, probe index) only; they are those of
+    the held sample set when it belongs to this body and seed."""
     if isinstance(fn, ShiftedNorm) and cg.contains(body, fn.anchor):
         raise CertificateError("shifted-norm anchor lies inside the body",
                                fn.anchor)
@@ -441,7 +374,7 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
             if isinstance(part, ShiftedNorm) and cg.contains(body, part.anchor):
                 raise CertificateError(
                     "shifted-norm anchor lies inside the body", part.anchor)
-    pts = _cert_probes(body, seed, probes)[0]
+    pts = _cert_probes(body, seed)[0]
     lap = fn.laplacian(pts)
     worst = int(np.argmin(lap))
     if lap[worst] < -LAPLACIAN_TOL:
@@ -451,12 +384,11 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
 
 
 def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
-                                 seed: int = 0,
-                                 probes: int = _CERT_PROBES) -> None:
+                                 seed: int = 0) -> None:
     """Check f >= -tol on sampled boundary points; raises CertificateError
     with a witness on failure.  The probes are shared as in
     certify_subharmonic."""
-    pos = _cert_probes(body, seed, probes)[1]
+    pos = _cert_probes(body, seed)[1]
     vals = fn.value(pos)
     worst = int(np.argmin(vals))
     if vals[worst] < -BOUNDARY_TOL:
@@ -495,30 +427,6 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     area = s.area
     var = (mean * area.stderr) ** 2 + (area.mean * se_mean) ** 2
     return Estimate(mean=mean * area.mean, stderr=math.sqrt(var), samples=m)
-
-
-def exact_volume_integral(body: cg.ConvexBody, fn: SubharmonicFn) -> float:
-    """Closed-form integral of a polynomial test function over a ball or
-    box (radial/tensor quadrature); the independent cross-check used by
-    the tests."""
-    n = body.dimension
-    terms = fn.as_polynomial(n)
-    if terms is None:
-        raise ValueError("exact integration requires a polynomial kind")
-    if isinstance(body, cg.Ball):
-        shifted = _poly_affine_sub(terms, body.center, body.radius)
-        return body.radius**n * sum(
-            c * _unit_ball_monomial(n, p) for p, c in shifted.items())
-    if isinstance(body, cg.Box):
-        total = 0.0
-        for powers, coeff in terms.items():
-            piece = coeff
-            for i, p in enumerate(powers):
-                piece *= ((body.upper[i] ** (p + 1) - body.lower[i] ** (p + 1))
-                          / (p + 1))
-            total += piece
-        return total
-    raise ValueError("exact integration supports balls and boxes only")
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,6 @@ def body_preset(name: str, n: int | None = None) -> cg.ConvexBody:
     raise ValueError(f"unknown body preset {name!r}")
 
 
-def body_preset_names() -> list[str]:
-    names = ["half-disk", "random-polytope-n3"]
-    for base, (_b, valid) in _BODY_BUILDERS.items():
-        names.extend(f"{base}-n{k}" for k in valid)
-    return sorted(names)
-
-
 # ---------------------------------------------------------------------------
 # test functions adapted to a body
 
@@ -172,10 +165,6 @@ def fn_preset(name: str, body: cg.ConvexBody) -> SubharmonicFn:
     if name not in _FN_BUILDERS:
         raise ValueError(f"unknown function preset {name!r}")
     return _FN_BUILDERS[name](body)
-
-
-def fn_preset_names() -> list[str]:
-    return sorted(_FN_BUILDERS)
 
 
 PAIR_PRESETS = {

@@ -14,6 +14,10 @@ from its arrays as they absorb; very large sample counts run in blocks of
 walk indices to bound memory.  Randomness is keyed by (seed, start point,
 walk index, step), so every block size reproduces the same per-walk values
 bit for bit.
+
+The gradient maximum starts from the body's stratified boundary sample
+(``ConvexBody.stratified_boundary``); how a body is stratified is known
+only to convex_geometry.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .estimates import Estimate, WosConfig
 
 __all__ = ["WosConfig", "Estimate", "torsion_value", "exit_time_mean",
            "normal_derivative", "max_normal_derivative", "MaxNormalDerivative",
-           "lifetime_bound_check", "exit_time_domination"]
+           "lifetime_bound_check"]
 
 _TAG_TORSION = 201
 _TAG_MAXGRAD = 202
@@ -40,6 +44,8 @@ _TAG_LIFETIME = 203
 # Walks per block: bounds memory for very large sample counts; every
 # default sample count runs as one block.
 _BLOCK = 65_536
+# rounds of re-sampling around the running argmax in max_normal_derivative
+_REFINE_ROUNDS = 2
 
 
 def _volume_upper_bound(body: ConvexBody) -> float:
@@ -117,43 +123,25 @@ def _usable_probe(body: ConvexBody, position, normal, delta, shell):
     return probe
 
 
-def normal_derivative(body: ConvexBody, bp: BoundaryPoint, cfg: WosConfig,
-                      richardson: bool = False) -> Estimate:
+def normal_derivative(body: ConvexBody, bp: BoundaryPoint,
+                      cfg: WosConfig) -> Estimate:
     """One-sided divided difference u(x + delta nu) / delta (u vanishes on
     the boundary), with delta = fd_delta * diameter.
 
     The O(delta) bias is downward near smooth maxima, the lenient
     direction for checking upper gradient bounds: it can hide a small
-    excess over the bound.  richardson=True combines
-    probes at delta and delta/2 to cancel the first-order bias.  If the
-    probe exits the body (corners), delta shrinks geometrically up to 8
-    times before the point is rejected.
+    excess over the bound.  If the probe exits the body (corners), delta
+    shrinks geometrically up to 8 times before the point is rejected.
     """
     shell = cfg.shell_width * body.diameter
     delta = cfg.fd_delta * body.diameter
-    probe = None
     for _ in range(9):
         probe = _usable_probe(body, bp.position, bp.inward_normal, delta, shell)
-        if probe is not None and (not richardson or _usable_probe(
-                body, bp.position, bp.inward_normal, 0.5 * delta, shell) is not None):
-            break
-        probe = None
+        if probe is not None:
+            return torsion_value(body, probe, cfg).scaled(1.0 / delta)
         delta *= 0.5
-    if probe is None:
-        raise ValueError("no usable probe along the inward normal "
-                         "(boundary point too close to a corner)")
-    full = torsion_value(body, probe, cfg)
-    if not richardson:
-        return full.scaled(1.0 / delta)
-    half_probe = bp.position + 0.5 * delta * bp.inward_normal
-    half = torsion_value(body, half_probe, cfg)
-    # f(d) = u(x + d nu)/d = u'(x) + c d + O(d^2): 2 f(d/2) - f(d) kills c
-    mean = 2.0 * half.mean / (0.5 * delta) - full.mean / delta
-    stderr = math.hypot(2.0 * half.stderr / (0.5 * delta), full.stderr / delta)
-    return Estimate(mean=mean, stderr=stderr,
-                    samples=full.samples + half.samples,
-                    truncated_fraction=max(full.truncated_fraction,
-                                           half.truncated_fraction))
+    raise ValueError("no usable probe along the inward normal "
+                     "(boundary point too close to a corner)")
 
 
 @dataclass(frozen=True)
@@ -169,141 +157,40 @@ class MaxNormalDerivative:
     evaluations: int
 
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Allocate ``total`` integer counts proportional to weights."""
-    share = weights / weights.sum() * total
-    counts = np.floor(share).astype(int)
-    short = total - counts.sum()
-    if short > 0:
-        order = np.argsort(share - counts)[::-1]
-        counts[order[:short]] += 1
-    # give every stratum at least one sample when the budget allows
-    while total >= len(weights) and (counts == 0).any():
-        donor = int(np.argmax(counts))
-        counts[int(np.argmin(counts))] += 1
-        counts[donor] -= 1
-    return counts
-
-
-def _stratified_boundary(body: ConvexBody, count: int, key: int):
-    """Boundary points with per-face / per-member coverage guarantees
-    where the body has natural strata; falls back to plain sampling."""
-    if isinstance(body, cg.Box):
-        faces, _cum, _total = body._face_table
-        counts = _largest_remainder(np.array([f[2] for f in faces]), count)
-        pos_parts, nrm_parts = [], []
-        for fi, ((k, side, _area, normal), cnt) in enumerate(zip(faces, counts)):
-            if cnt == 0:
-                continue
-            ids = np.arange(cnt, dtype=np.uint64)
-            u = rng.uniforms(rng.derive(key, 31, fi), ids, 0, body.dimension)
-            other = [j for j in range(body.dimension) if j != k]
-            block = np.empty((cnt, body.dimension))
-            block[:, other] = body.lower[other] + u[:, 1:] * (
-                body.upper[other] - body.lower[other])
-            block[:, k] = body.lower[k] if side == 0 else body.upper[k]
-            pos_parts.append(block)
-            nrm_parts.append(np.tile(normal, (cnt, 1)))
-        return np.concatenate(pos_parts), np.concatenate(nrm_parts)
-    if isinstance(body, cg.Polytope):
-        faces = body.faces
-        counts = _largest_remainder(np.array([f.area for f in faces]), count)
-        pos_parts, nrm_parts = [], []
-        for fi, (face, cnt) in enumerate(zip(faces, counts)):
-            if cnt == 0:
-                continue
-            pts = _polytope_face_points(body, face, cnt, rng.derive(key, 37, fi))
-            pos_parts.append(pts)
-            nrm_parts.append(np.tile(-face.normal, (cnt, 1)))
-        return np.concatenate(pos_parts), np.concatenate(nrm_parts)
-    if isinstance(body, cg.Intersection):
-        samplers, fracs, _total = body._mixture
-        counts = _largest_remainder(np.asarray(fracs), count)
-        pos_parts, nrm_parts = [], []
-        for k, (sampler, cnt) in enumerate(zip(samplers, counts)):
-            if cnt == 0:
-                continue
-            collected = 0
-            next_id = 0
-            member_key = rng.derive(key, 41, k)
-            while collected < cnt:
-                ids = np.arange(next_id, next_id + 4 * cnt + 64, dtype=np.uint64)
-                next_id += len(ids)
-                p, v, _w, ok = sampler._boundary_batch(member_key, ids)
-                for j, m in enumerate(body.members):
-                    if j != k:
-                        ok &= m.contains_many(p)
-                pos_parts.append(p[ok])
-                nrm_parts.append(v[ok])
-                collected += int(ok.sum())
-                if next_id > 1_000_000:
-                    raise cg.SamplingStarved("stratified member sampling starved")
-        pos = np.concatenate(pos_parts)[:count]
-        nrm = np.concatenate(nrm_parts)[:count]
-        return pos, nrm
-    pos, nrm, _w = body.boundary_arrays(count, key)
-    return pos, nrm
-
-
-def _polytope_face_points(body: "cg.Polytope", face, count: int,
-                          key: int) -> np.ndarray:
-    span = face.chart_hi - face.chart_lo
-    out = np.empty((count, body.dimension))
-    filled = 0
-    next_id = 0
-    while filled < count:
-        ids = np.arange(next_id, next_id + 4 * count + 64, dtype=np.uint64)
-        next_id += len(ids)
-        y = face.chart_lo + rng.uniforms(key, ids, 0, body.dimension - 1) * span
-        good = y[np.all(y @ face.sub_A.T <= face.sub_c, axis=1)]
-        take = min(count - filled, len(good))
-        out[filled:filled + take] = (face.plane_point
-                                     + good[:take] @ face.basis.T)
-        filled += take
-        if next_id > 1_000_000:
-            raise cg.SamplingStarved("face sampling starved")
-    return out
-
-
 def _cap_points(body: ConvexBody, center: np.ndarray, radius: float,
                 count: int, key: int):
     """Boundary points within Euclidean ``radius`` of ``center``; returns
     whatever it finds if the cap proves too small to fill."""
     batch = 4096
-    pos_parts, nrm_parts = [], []
+    parts = []
     collected = 0
-    next_id = 0
-    while collected < count and next_id < 512 * batch:
-        ids = np.arange(next_id, next_id + batch, dtype=np.uint64)
-        next_id += batch
+    for start in range(0, 512 * batch, batch):
+        ids = np.arange(start, start + batch, dtype=np.uint64)
         pos, nrm, _w, ok = body._boundary_batch(key, ids)
         near = ok & (np.linalg.norm(pos - center, axis=1) <= radius)
-        pos_parts.append(pos[near])
-        nrm_parts.append(nrm[near])
+        parts.append((pos[near], nrm[near]))
         collected += int(near.sum())
-    if collected == 0:
-        return np.empty((0, body.dimension)), np.empty((0, body.dimension))
-    return (np.concatenate(pos_parts)[:count],
-            np.concatenate(nrm_parts)[:count])
+        if collected >= count:
+            break
+    pos, nrm = zip(*parts)
+    return np.concatenate(pos)[:count], np.concatenate(nrm)[:count]
 
 
 def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
-                          boundary_samples: int,
-                          refine_rounds: int = 2) -> MaxNormalDerivative:
+                          boundary_samples: int) -> MaxNormalDerivative:
     """Maximize the inward normal derivative over sampled boundary points.
 
-    Spends ~60% of the evaluation budget on a stratified global pass and
-    the rest on re-sampling inside a shrinking cap around the running
-    argmax (uniform sampling alone localizes sharp maxima slowly).
+    From 8 samples on, spends ~60% of the evaluation budget on a global
+    pass over the body's stratified boundary sample and the rest on
+    _REFINE_ROUNDS rounds of re-sampling inside a shrinking cap around the
+    running argmax (uniform sampling alone localizes sharp maxima slowly).
     """
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
     key = rng.derive(cfg.seed, _TAG_MAXGRAD)
-    if refine_rounds > 0 and boundary_samples >= 8:
-        global_count = max(1, math.ceil(0.6 * boundary_samples))
-    else:
-        global_count = boundary_samples
-        refine_rounds = 0
+    refine_rounds = _REFINE_ROUNDS if boundary_samples >= 8 else 0
+    global_count = (max(1, math.ceil(0.6 * boundary_samples)) if refine_rounds
+                    else boundary_samples)
     refine_budget = boundary_samples - global_count
 
     best = None  # (mean, Estimate, position, normal)
@@ -321,7 +208,7 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
             if best is None or est.mean > best[0]:
                 best = (est.mean, est, p, v)
 
-    pos, nrm = _stratified_boundary(body, global_count, key)
+    pos, nrm = body.stratified_boundary(global_count, key)
     consider(pos, nrm)
     if best is None:
         raise ValueError("no usable boundary points (all probes rejected)")
@@ -340,23 +227,6 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
 
     return MaxNormalDerivative(estimate=best[1], location=best[2],
                                normal=best[3], evaluations=evaluations)
-
-
-def exit_time_domination(body: ConvexBody, x,
-                         cfg: WosConfig) -> BoundReport:
-    """Check the uniform exit-time bound (1/n)(vol/omega_n)^{2/n} at x."""
-    measured = exit_time_mean(body, x, cfg)
-    vol = cg.volume(body, cfg)
-    bound = lifetime_bound(body.dimension, vol.mean)
-    bound_se = (bound * (2.0 / body.dimension) * vol.stderr / vol.mean
-                if vol.stderr else 0.0)
-    return make_report(
-        "exit_time_vs_ball_bound", measured, bound,
-        provenance="expected exit time <= (1/n)(vol/omega_n)^(2/n), "
-                   "sharp for the centered ball",
-        bound_stderr=bound_se,
-        details={"point": np.asarray(x, dtype=float).tolist(),
-                 "volume": vol.mean})
 
 
 def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,

@@ -4,14 +4,18 @@ Everything here is deliberately computed by a different route than the
 library code it checks: rational approximations and frozen 50-digit
 values for the normal CDF, Fourier series and five-point finite
 differences for the square torsion problem, ray casting for distances,
-and central differences for Laplacians.
+scalar bisection for the exact ellipsoid distance, central differences
+for Laplacians, and radial or tensor quadrature for polynomial integrals
+over balls and boxes.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
+from scipy.special import gammaln
 
 # Standard normal CDF, frozen from a 50-digit arbitrary-precision
 # computation (mpmath.ncdf at dps=50).
@@ -168,3 +172,136 @@ def ellipse_boundary_gradient_max(semi_axes, coefficient: float,
     gx = -2.0 * coefficient * x / a**2
     gy = -2.0 * coefficient * y / b**2
     return float(np.max(np.hypot(gx, gy)))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form integrals of polynomial test functions over balls and boxes,
+# and the exact ellipsoid distance by scalar bisection.
+
+
+def as_polynomial(fn, n: int) -> dict | None:
+    """Term dict {powers tuple: coefficient} of a polynomial test function
+    in n variables, or None when the function is not polynomial."""
+    from torsion_bound import hh_verifier as hh
+
+    if isinstance(fn, hh.Affine):
+        terms = {tuple([0] * n): fn.constant}
+        for i, a in enumerate(fn.linear):
+            if a != 0.0:
+                p = [0] * n
+                p[i] = 1
+                terms[tuple(p)] = float(a)
+        return terms
+    if isinstance(fn, hh.Quadratic):
+        terms: dict = defaultdict(float)
+        terms[tuple([0] * n)] += fn.constant + float(fn.center @ fn.center)
+        for i in range(n):
+            sq = [0] * n
+            sq[i] = 2
+            terms[tuple(sq)] += 1.0
+            lin = [0] * n
+            lin[i] = 1
+            terms[tuple(lin)] += fn.linear[i] - 2.0 * fn.center[i]
+        return dict(terms)
+    if isinstance(fn, hh.HarmonicPolynomial):
+        return dict(fn.terms)
+    if isinstance(fn, hh.PositiveCombination):
+        total: dict = defaultdict(float)
+        for w, part in fn.parts:
+            terms = as_polynomial(part, n)
+            if terms is None:
+                return None
+            for p, c in terms.items():
+                total[p] += w * c
+        return dict(total)
+    return None
+
+
+def _poly_affine_sub(terms: dict, center: np.ndarray, scale: float) -> dict:
+    """Rewrite a polynomial in x as one in y, where x = center + scale * y."""
+    out: dict = defaultdict(float)
+    for powers, coeff in terms.items():
+        partial = {(): coeff}
+        for i, p in enumerate(powers):
+            grown: dict = defaultdict(float)
+            for mono, cf in partial.items():
+                for k in range(p + 1):
+                    grown[mono + (k,)] += (cf * math.comb(p, k)
+                                           * scale**k * center[i] ** (p - k))
+            partial = grown
+        for mono, cf in partial.items():
+            out[mono] += cf
+    return dict(out)
+
+
+def _unit_ball_monomial(n: int, powers) -> float:
+    """Integral of prod x_i^{p_i} over the unit ball; zero for odd powers."""
+    if any(p % 2 for p in powers):
+        return 0.0
+    total = sum(powers)
+    log_val = (sum(gammaln((p + 1) / 2.0) for p in powers)
+               - gammaln((n + total) / 2.0 + 1.0))
+    return math.exp(log_val)
+
+
+def exact_volume_integral(body, fn) -> float:
+    """Closed-form integral of a polynomial test function over a ball or
+    box (radial/tensor quadrature); the independent cross-check used by
+    the tests."""
+    from torsion_bound import convex_geometry as cg
+
+    n = body.dimension
+    terms = as_polynomial(fn, n)
+    if terms is None:
+        raise ValueError("exact integration requires a polynomial kind")
+    if isinstance(body, cg.Ball):
+        shifted = _poly_affine_sub(terms, body.center, body.radius)
+        return body.radius**n * sum(
+            c * _unit_ball_monomial(n, p) for p, c in shifted.items())
+    if isinstance(body, cg.Box):
+        total = 0.0
+        for powers, coeff in terms.items():
+            piece = coeff
+            for i, p in enumerate(powers):
+                piece *= ((body.upper[i] ** (p + 1) - body.lower[i] ** (p + 1))
+                          / (p + 1))
+            total += piece
+        return total
+    raise ValueError("exact integration supports balls and boxes only")
+
+
+def ellipsoid_exact_distance(body, x) -> float:
+    """Distance from an interior point to the ellipsoid boundary, by
+    bisection on the nearest-point parameter t in (-b_min^2, 0]:
+    the nearest boundary point is z_i = b_i^2 y_i / (b_i^2 + t) with
+    sum (b_i y_i / (b_i^2 + t))^2 = 1 (y = x - center).
+
+    Falls back to the certified lower bound in the degenerate case where
+    the query has no component along any shortest axis.
+    """
+    y = np.asarray(x, dtype=float) - body.center
+    b2 = body.semi_axes**2
+    q = float(np.sum((y / body.semi_axes) ** 2))
+    if q > 1.0:
+        raise ValueError("point lies outside the ellipsoid")
+    lower = float(body.semi_axes.min()) * (1.0 - math.sqrt(q))
+
+    def f(t):
+        return float(np.sum((body.semi_axes * y / (b2 + t)) ** 2)) - 1.0
+
+    lo = -float(b2.min())
+    lo_probe = lo * (1.0 - 1e-13) + 0.0
+    if f(lo_probe) < 0.0:  # degenerate: nearest point leaves the axis span
+        return lower
+    hi = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo_probe + hi)
+        if f(mid) > 0.0:
+            lo_probe = mid
+        else:
+            hi = mid
+        if hi - lo_probe < 1e-16 * float(b2.max()):
+            break
+    t = 0.5 * (lo_probe + hi)
+    d = math.sqrt(float(np.sum((y * t / (b2 + t)) ** 2)))
+    return max(d, lower)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from torsion_bound import convex_geometry as cg
+from torsion_bound import presets
+from torsion_bound import rng
 from torsion_bound.estimates import WosConfig
 
 import oracles
@@ -78,16 +80,10 @@ class TestDistance:
             if not cg.contains(e, p):
                 continue
             lb = cg.distance_to_boundary(e, p)
-            exact = cg.ellipsoid_exact_distance(e, p)
+            exact = oracles.ellipsoid_exact_distance(e, p)
             oracle = oracles.ray_distance(e, p, n_dirs=8192)
             assert lb <= exact + 1e-12
             assert exact == pytest.approx(oracle, abs=2e-4)
-
-    def test_exact_distance_flag_used_in_walks(self):
-        e = cg.Ellipsoid([0.0, 0.0], [2.0, 1.0], exact_distance=True)
-        p = np.array([1.0, 0.3])
-        assert (cg.distance_to_boundary(e, p)
-                == pytest.approx(cg.ellipsoid_exact_distance(e, p)))
 
 
 class TestVolume:
@@ -143,34 +139,41 @@ class TestSurfaceArea:
         assert abs(est.mean - exact) <= 3.0 * est.stderr
 
 
+def boundary_key(seed):
+    # operation tag 101 keeps the samples these checks were written against
+    return rng.derive(seed, 101)
+
+
 class TestBoundarySampling:
     def test_ball_on_sphere(self):
-        pts = cg.sample_boundary(cg.Ball([0, 0], 1.0), 500, seed=9)
-        radii = [np.linalg.norm(p.position) for p in pts]
+        pos, _nrm, _w = cg.Ball([0, 0], 1.0).boundary_arrays(500, boundary_key(9))
+        radii = np.linalg.norm(pos, axis=1)
         assert np.allclose(radii, 1.0, atol=1e-12)
 
     def test_box_face_fractions(self):
-        pts = cg.sample_boundary(cg.Box([0, 0], [1, 1]), 40_000, seed=2)
-        pos = np.array([p.position for p in pts])
+        pos, _nrm, _w = cg.Box([0, 0], [1, 1]).boundary_arrays(
+            40_000, boundary_key(2))
         for k, side in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
             frac = np.mean(np.isclose(pos[:, k], side))
             se = math.sqrt(0.25 * 0.75 / len(pos))
             assert abs(frac - 0.25) <= 3.0 * se
 
     def test_half_disk_flat_fraction(self):
-        pts = cg.sample_boundary(half_disk(), 40_000, seed=3)
-        pos = np.array([p.position for p in pts])
+        pos, _nrm, _w = half_disk().boundary_arrays(40_000, boundary_key(3))
         frac = np.mean(np.abs(pos[:, 1]) < 1e-12)
         expect = 2.0 / (2.0 + math.pi)
         se = math.sqrt(expect * (1.0 - expect) / len(pos))
         assert abs(frac - expect) <= 3.0 * se
 
     def test_positions_on_boundary_and_normals_inward(self):
+        lens = cg.Intersection([cg.Ball([0, 0], 1.0), cg.Ball([0.5, 0], 1.0)])
         bodies = [cg.Ball([0, 0, 0], 2.0),
                   cg.Box([0, 0], [2, 1]),
                   cg.Ellipsoid([1.0, 0.0], [2.0, 1.0]),
                   unit_simplex(3),
-                  half_disk()]
+                  half_disk(),
+                  # a member that is itself an intersection rejects points
+                  cg.Intersection([lens, half_disk().members[1]])]
         for body in bodies:
             pos, nrm, _w = body.boundary_arrays(400, key=11)
             assert np.max(np.abs(body.distances_many(pos))) <= 1e-9 * body.diameter
@@ -180,15 +183,98 @@ class TestBoundarySampling:
 
     def test_bit_identical_given_seed(self):
         body = half_disk()
-        a = cg.sample_boundary(body, 100, seed=5)
-        b = cg.sample_boundary(body, 100, seed=5)
-        assert all(np.array_equal(p.position, q.position)
-                   and np.array_equal(p.inward_normal, q.inward_normal)
-                   and p.weight == q.weight for p, q in zip(a, b))
+        a = body.boundary_arrays(100, boundary_key(5))
+        b = body.boundary_arrays(100, boundary_key(5))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            cg.sample_boundary(cg.Ball([0, 0], 1.0), 0, seed=1)
+            cg.Ball([0, 0], 1.0).boundary_arrays(0, boundary_key(1))
+
+    @pytest.mark.parametrize("name", ["unit-ball-n3", "unit-box-n3",
+                                      "beck-ellipsoid-n3", "random-polytope-n3",
+                                      "simplex-n3", "half-disk"])
+    def test_samples_independent_of_batch_size(self, name, monkeypatch):
+        # a polytope face maps a lone chart row by gemv, which rounds
+        # unlike gemm, unless the chart map doubles it
+        body = presets.body_preset(name)
+        boundary = body.boundary_arrays(1000, 17)
+        interior = cg.interior_points(body, 1000, 18)
+        for batch in (1, 7, 4096):
+            monkeypatch.setattr(cg, "_BATCH", batch)
+            again = body.boundary_arrays(1000, 17)
+            assert all(np.array_equal(x, y) for x, y in zip(boundary, again))
+            assert np.array_equal(cg.interior_points(body, 1000, 18), interior)
+
+
+class TestKeyedRejection:
+    @staticmethod
+    def every_third(ids):
+        return ids.astype(float), 2.0 * ids, ids % 3 == 0
+
+    def test_exact_count_in_id_order(self):
+        for batch in (1, 4, 7, 100):
+            got, twice = cg._keyed_rejection(self.every_third, 10, batch, 10**6,
+                                             "starved")
+            assert np.array_equal(got, 3.0 * np.arange(10))
+            assert np.array_equal(twice, 2.0 * got)
+
+    def test_starves_past_the_limit(self):
+        def never(ids):
+            return ids.astype(float), np.zeros(len(ids), dtype=bool)
+        with pytest.raises(cg.SamplingStarved, match="^nothing accepted$"):
+            cg._keyed_rejection(never, 1, 8, 40, "nothing accepted")
+
+
+class TestStrata:
+    """Each stratum gets exactly its _largest_remainder count, and every
+    point lies on its stratum with the stratum's inward normal."""
+
+    COUNTS = (5, 8, 40)
+
+    @staticmethod
+    def split(body, count):
+        pos, nrm = body.stratified_boundary(count, rng.derive(count, 5))
+        _tag, weights = body._strata()
+        cnt = cg._largest_remainder(weights, count)
+        assert cnt.sum() == count and len(pos) == len(nrm) == count
+        ends = np.cumsum(cnt)
+        return cnt, np.split(pos, ends[:-1]), np.split(nrm, ends[:-1])
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_box_faces(self, count):
+        body = presets.unit_box(2)
+        cnt, pos, nrm = self.split(body, count)
+        faces = [(k, side) for k in range(2) for side in (0.0, 1.0)]
+        assert (cnt >= 1).all()
+        for (k, side), p, v in zip(faces, pos, nrm):
+            assert np.all(p[:, k] == side)
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            normal = np.zeros(2)
+            normal[k] = 1.0 if side == 0.0 else -1.0
+            assert np.all(v == normal)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_simplex_faces(self, count):
+        body = presets.simplex(3)
+        cnt, pos, nrm = self.split(body, count)
+        assert len(body.faces) == 4 and (cnt >= 1).all()
+        for face, p, v in zip(body.faces, pos, nrm):
+            level = p @ body.A.T - body.c
+            assert np.all(np.abs(level[:, face.index]) <= 1e-12)
+            assert np.all(level <= 1e-12)
+            assert np.all(v == -body.A[face.index])
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_half_disk_arc_and_flat_side(self, count):
+        body = presets.half_ball(2)
+        cnt, (arc, flat), (arc_nrm, flat_nrm) = self.split(body, count)
+        assert (cnt >= 1).all()
+        assert np.all(np.abs(np.linalg.norm(arc, axis=1) - 1.0) <= 1e-12)
+        assert np.all(arc[:, 1] >= 0.0)
+        assert np.allclose(arc_nrm, -arc, atol=1e-12)
+        assert np.all(flat[:, 1] == 0.0) and np.all(np.abs(flat[:, 0]) <= 1.0)
+        assert np.all(flat_nrm == [0.0, 1.0])
 
 
 class TestInvariants:
@@ -199,7 +285,6 @@ class TestInvariants:
             x = body.interior_point()
             r = float(body.distances_many(x[None, :])[0])
             ids = np.arange(256, dtype=np.uint64)
-            from torsion_bound import rng
             dirs = rng.unit_vectors(21, ids, 0, body.dimension)
             probe = x + 0.999999 * r * dirs
             assert body.contains_many(probe).all()

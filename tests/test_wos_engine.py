@@ -131,8 +131,9 @@ class TestExitTime:
             body, vol = presets.random_body(n, seed=90, index=i)
             x = presets.random_interior_point(
                 body, seed=i, min_depth=2 * CFG.shell_width * body.diameter)
-            rep = wos.exit_time_domination(body, x, CFG)
-            assert rep.passed, f"domination failed on body {i}: {rep}"
+            est = wos.exit_time_mean(body, x, CFG)
+            bound = al.lifetime_bound(n, vol)
+            assert est.mean <= bound + 4.0 * est.stderr, (i, est, bound)
 
     def test_ball_at_center_near_equality(self):
         body = cg.Ball([0.0, 0.0], 1.0)
@@ -141,17 +142,23 @@ class TestExitTime:
         assert abs(est.mean - bound) <= 2.0 * est.stderr + 1e-12
 
 
+def boundary_point(body, seed):
+    # operation tag 101 keeps the points these checks were written against
+    pos, nrm, _w = body.boundary_arrays(1, rng.derive(seed, 101))
+    return cg.BoundaryPoint(position=pos[0], inward_normal=nrm[0])
+
+
 class TestNormalDerivative:
     def test_ball_n2(self):
         body = cg.Ball([0.0, 0.0], 1.0)
-        bp = cg.sample_boundary(body, 1, seed=3)[0]
+        bp = boundary_point(body, 3)
         est = wos.normal_derivative(body, bp, CFG)
         delta = CFG.fd_delta * body.diameter
         assert abs(est.mean - 0.5) <= 3.0 * est.stderr + delta / 4.0 + 1e-3
 
     def test_ball_n4(self):
         body = cg.Ball([0.0] * 4, 1.0)
-        bp = cg.sample_boundary(body, 1, seed=4)[0]
+        bp = boundary_point(body, 4)
         est = wos.normal_derivative(body, bp, CFG)
         delta = CFG.fd_delta * body.diameter
         assert abs(est.mean - 0.25) <= 3.0 * est.stderr + delta / 8.0 + 1e-3
@@ -164,16 +171,6 @@ class TestNormalDerivative:
         exact = al.ellipsoid_torsion(2).max_gradient
         delta = CFG.fd_delta * body.diameter
         assert abs(est.mean - exact) <= 3.0 * est.stderr + delta / 2.0
-
-    def test_richardson_reduces_bias(self):
-        body = cg.Ball([0.0, 0.0], 1.0)
-        bp = cg.sample_boundary(body, 1, seed=5)[0]
-        coarse = CFG.replace(fd_delta=0.1, samples=40_000)
-        plain = wos.normal_derivative(body, bp, coarse)
-        rich = wos.normal_derivative(body, bp, coarse, richardson=True)
-        # plain bias at delta = 0.2 is exactly -delta/4 = -0.05
-        assert plain.mean < 0.5 - 0.02
-        assert abs(rich.mean - 0.5) <= 4.0 * rich.stderr + 0.01
 
     def test_corner_probe_shrinks_or_rejects(self):
         body = presets.simplex(2)
