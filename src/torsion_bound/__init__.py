@@ -2,14 +2,12 @@
 inequality for subharmonic functions on convex bodies, built on an exact
 walk-on-spheres recursion for the torsion problem -lap u = 1."""
 
-from .analytic_library import (BoundReport, DimensionConstants,
-                               EllipsoidTorsion, HalfDiskExample,
+from .analytic_library import (BoundReport, EllipsoidTorsion, HalfDiskExample,
                                assembled_lifetime_bound, ball_max_gradient,
-                               ball_torsion, cn_lower_bound, constants_table,
-                               ellipsoid_torsion, half_disk_example,
-                               lifetime_bound, minimized_bound,
-                               normalized_constant, omega, optimal_T,
-                               theorem2_bound, theorem2_raw_bound)
+                               ball_torsion, cn_lower_bound, ellipsoid_torsion,
+                               half_disk_example, lifetime_bound,
+                               minimized_bound, normalized_constant, omega,
+                               optimal_T, theorem2_bound, theorem2_raw_bound)
 from .brownian_1d import (HittingTimeLaw, HittingTimeSample, cdf, density,
                           phi_linear_bound, simulate_hitting_times,
                           survival_probability, truncated_mean,

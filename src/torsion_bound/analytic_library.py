@@ -77,30 +77,6 @@ def ball_max_gradient(n: int, radius: float) -> float:
 
 
 @dataclass(frozen=True)
-class DimensionConstants:
-    """One row of the constants table."""
-
-    n: int
-    omega_n: float
-    normalized: float  # omega_n^{1/n} sqrt(n)
-
-    def __post_init__(self):
-        if not (SQRT_2PI - 1e-9 <= self.normalized <= SQRT_2PIE + 1e-9):
-            raise ValueError(
-                f"normalized constant {self.normalized} outside "
-                f"[sqrt(2 pi), sqrt(2 pi e)] at n={self.n}")
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "DimensionConstants":
-        return cls(n=_check_dimension(n), omega_n=omega(n),
-                   normalized=normalized_constant(n))
-
-
-def constants_table(n_values) -> list[DimensionConstants]:
-    return [DimensionConstants.for_dimension(n) for n in n_values]
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One row of a verification table.
 
@@ -117,10 +93,6 @@ class BoundReport:
     provenance: str
     bound_stderr: float = 0.0
     details: dict = field(default_factory=dict)
-
-    @property
-    def combined_stderr(self) -> float:
-        return math.hypot(self.measured.stderr, self.bound_stderr)
 
 
 def make_report(quantity_name: str, measured: Estimate, bound_value: float,
@@ -194,12 +166,6 @@ def cn_lower_bound(n: int) -> float:
     """
     n = _check_dimension(n)
     return math.exp(-log_omega(n) / n) / n
-
-
-def cn_uniform_floor(n: int) -> float:
-    """Dimension-uniform floor 1 / (sqrt(2 pi e) sqrt(n)) for cn_lower_bound."""
-    _check_dimension(n)
-    return 1.0 / (SQRT_2PIE * math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

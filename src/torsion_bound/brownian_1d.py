@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf, erfc, ndtr
+from scipy.special import erf, erfc
 
 from . import rng
 from .analytic_library import SQRT_2PI
@@ -48,12 +48,6 @@ def _check_positive(t, name: str):
     if np.any(arr <= 0):
         raise ValueError(f"{name} must be positive")
     return arr
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function,
-    accurate to better than 1e-14 absolute over the real line."""
-    return ndtr(x)
 
 
 def cdf(law: HittingTimeLaw, t):
@@ -127,10 +121,6 @@ class HittingTimeSample:
     count: int
     dt: float
     horizon: float
-
-    @property
-    def hit_fraction(self) -> float:
-        return len(self.times) / self.count
 
 
 def simulate_hitting_times(law: HittingTimeLaw, count: int, dt: float,

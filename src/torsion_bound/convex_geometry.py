@@ -5,7 +5,7 @@ Intersection.  Each body answers membership, a certified distance to the
 boundary (exact for ball/box/polytope, a safe lower bound for ellipsoids
 and intersections — safe means the inscribed sphere used by the
 walk-on-spheres step always stays inside the body), bounding box, volume
-(exact where a closed form exists, rejection Monte Carlo otherwise), and
+(exact except for intersections, which use rejection Monte Carlo), and
 surface-measure boundary sampling with per-point importance weights.
 
 Only this module knows how a body's boundary is stratified (the faces of
@@ -621,13 +621,15 @@ class Polytope(ConvexBody):
             raise ValueError("polytope has no positive-area faces")
         return out
 
-    def volume_lasserre(self) -> float:
-        """Exact volume via the recursive face decomposition (used as an
-        independent cross-check of the rejection Monte Carlo estimate)."""
-        faces = self.faces
+    def volume_exact(self):
+        """Exact volume from the faces by the divergence identity
+        vol = (1/n) sum_i (c_i - a_i . x0) |face_i|; None for a half-space
+        collection that is not known to be bounded."""
+        if not self.require_bounded:
+            return None
         x0 = self._center
-        total = sum((f.offset - f.normal @ x0) * f.area for f in faces)
-        return total / self.dimension
+        total = sum((f.offset - f.normal @ x0) * f.area for f in self.faces)
+        return float(total / self.dimension)
 
     def surface_area_exact(self):
         return float(sum(f.area for f in self.faces))
@@ -846,6 +848,9 @@ class _ClippedPolytope(Polytope):
             raise ValueError("clipped member has no boundary inside the box")
         return kept
 
+    def volume_exact(self):
+        return None  # the kept faces do not enclose the clipped body
+
 
 def _clip_to_box(poly: Polytope, lo, hi) -> _ClippedPolytope:
     halves = [(a, ci) for a, ci in zip(poly.A, poly.c)]
@@ -885,8 +890,8 @@ def distance_to_boundary(body: ConvexBody, x) -> float:
 
 
 def volume(body: ConvexBody, cfg: WosConfig) -> Estimate:
-    """Exact for ball/ellipsoid/box; rejection Monte Carlo against the
-    tightest bounding box for polytopes and intersections."""
+    """Exact for ball/ellipsoid/box/polytope; rejection Monte Carlo
+    against the tightest bounding box only for intersections."""
     exact = body.volume_exact()
     if exact is not None:
         return Estimate.exact(exact)

@@ -20,7 +20,6 @@ class WosConfig:
     samples: int = 10_000
     seed: int = 0
     shell_width: float = 1e-4
-    max_steps: int = 100_000
     fd_delta: float = 1e-2
 
     def __post_init__(self):
@@ -28,8 +27,6 @@ class WosConfig:
             raise ValueError("shell_width must lie in (0, 1)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.fd_delta <= self.shell_width:
             raise ValueError("fd_delta must exceed shell_width")
 
@@ -49,10 +46,6 @@ class Estimate:
     stderr: float
     samples: int
     truncated_fraction: float = 0.0
-
-    @property
-    def is_exact(self) -> bool:
-        return self.samples == 0
 
     @property
     def degraded(self) -> bool:

@@ -214,7 +214,6 @@ def random_body(n: int, seed: int, index: int) -> tuple[cg.ConvexBody, float]:
         body = cg.Ellipsoid(center, axes)
     else:
         body = simplex(n, scale=1.0 + 2.0 * u[0])
-        return body, body.volume_lasserre()
     return body, body.volume_exact()
 
 

@@ -15,14 +15,13 @@ walk indices to bound memory.  Randomness is keyed by (seed, start point,
 walk index, step), so every block size reproduces the same per-walk values
 bit for bit.
 
-The gradient maximum starts from the body's stratified boundary sample
-(``ConvexBody.stratified_boundary``); how a body is stratified is known
-only to convex_geometry.
+The gradient maximum probes each point of the body's stratified boundary
+sample (``ConvexBody.stratified_boundary``) once and keeps the largest
+estimate; how a body is stratified is known only to convex_geometry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,8 @@ _TAG_LIFETIME = 203
 # Walks per block: bounds memory for very large sample counts; every
 # default sample count runs as one block.
 _BLOCK = 65_536
-# rounds of re-sampling around the running argmax in max_normal_derivative
-_REFINE_ROUNDS = 2
+# Steps per walk; walks still alive after it are capped (truncated).
+_MAX_STEPS = 100_000
 
 
 def _volume_upper_bound(body: ConvexBody) -> float:
@@ -72,7 +71,7 @@ def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
     acc = np.zeros(hi - lo)
     shell = cfg.shell_width * body.diameter
     inv2n = 1.0 / (2.0 * n)
-    for step in range(cfg.max_steps):
+    for step in range(_MAX_STEPS):
         d = body.distances_many(pos)
         alive = d > shell
         if not alive.all():
@@ -157,76 +156,31 @@ class MaxNormalDerivative:
     evaluations: int
 
 
-def _cap_points(body: ConvexBody, center: np.ndarray, radius: float,
-                count: int, key: int):
-    """Boundary points within Euclidean ``radius`` of ``center``; returns
-    whatever it finds if the cap proves too small to fill."""
-    batch = 4096
-    parts = []
-    collected = 0
-    for start in range(0, 512 * batch, batch):
-        ids = np.arange(start, start + batch, dtype=np.uint64)
-        pos, nrm, _w, ok = body._boundary_batch(key, ids)
-        near = ok & (np.linalg.norm(pos - center, axis=1) <= radius)
-        parts.append((pos[near], nrm[near]))
-        collected += int(near.sum())
-        if collected >= count:
-            break
-    pos, nrm = zip(*parts)
-    return np.concatenate(pos)[:count], np.concatenate(nrm)[:count]
-
-
 def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
                           boundary_samples: int) -> MaxNormalDerivative:
-    """Maximize the inward normal derivative over sampled boundary points.
-
-    From 8 samples on, spends ~60% of the evaluation budget on a global
-    pass over the body's stratified boundary sample and the rest on
-    _REFINE_ROUNDS rounds of re-sampling inside a shrinking cap around the
-    running argmax (uniform sampling alone localizes sharp maxima slowly).
-    """
+    """Maximize the inward normal derivative over the body's stratified
+    boundary sample: one probe per point, skipping corner-pinched points,
+    keeping the largest estimate."""
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
-    key = rng.derive(cfg.seed, _TAG_MAXGRAD)
-    refine_rounds = _REFINE_ROUNDS if boundary_samples >= 8 else 0
-    global_count = (max(1, math.ceil(0.6 * boundary_samples)) if refine_rounds
-                    else boundary_samples)
-    refine_budget = boundary_samples - global_count
-
-    best = None  # (mean, Estimate, position, normal)
+    pos, nrm = body.stratified_boundary(boundary_samples,
+                                        rng.derive(cfg.seed, _TAG_MAXGRAD))
+    best = None  # (Estimate, position, normal)
     evaluations = 0
-
-    def consider(pos, nrm):
-        nonlocal best, evaluations
-        for p, v in zip(pos, nrm):
-            bp = BoundaryPoint(position=p, inward_normal=v)
-            try:
-                est = normal_derivative(body, bp, cfg)
-            except ValueError:
-                continue  # corner-pinched probe; excluded by contract
-            evaluations += 1
-            if best is None or est.mean > best[0]:
-                best = (est.mean, est, p, v)
-
-    pos, nrm = body.stratified_boundary(global_count, key)
-    consider(pos, nrm)
+    for p, v in zip(pos, nrm):
+        bp = BoundaryPoint(position=p, inward_normal=v)
+        try:
+            est = normal_derivative(body, bp, cfg)
+        except ValueError:
+            continue  # corner-pinched probe; excluded by contract
+        evaluations += 1
+        if best is None or est.mean > best[0].mean:
+            best = (est, p, v)
     if best is None:
         raise ValueError("no usable boundary points (all probes rejected)")
-
-    radius = body.diameter / 8.0
-    for round_ in range(refine_rounds):
-        quota = refine_budget // refine_rounds
-        if round_ < refine_budget % refine_rounds:
-            quota += 1
-        if quota == 0:
-            continue
-        pos, nrm = _cap_points(body, best[2], radius, quota,
-                               rng.derive(key, 53, round_))
-        consider(pos, nrm)
-        radius *= 0.5
-
-    return MaxNormalDerivative(estimate=best[1], location=best[2],
-                               normal=best[3], evaluations=evaluations)
+    est, p, v = best
+    return MaxNormalDerivative(estimate=est, location=p, normal=v,
+                               evaluations=evaluations)
 
 
 def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,

@@ -1,12 +1,11 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately computed by a different route than the
-library code it checks: rational approximations and frozen 50-digit
-values for the normal CDF, Fourier series and five-point finite
-differences for the square torsion problem, ray casting for distances,
-scalar bisection for the exact ellipsoid distance, central differences
-for Laplacians, and radial or tensor quadrature for polynomial integrals
-over balls and boxes.
+library code it checks: frozen 50-digit values for the normal CDF,
+Fourier series and five-point finite differences for the square torsion
+problem, ray casting for distances, scalar bisection for the exact
+ellipsoid distance, central differences for Laplacians, and radial or
+tensor quadrature for polynomial integrals over balls and boxes.
 """
 
 import math
@@ -46,19 +45,6 @@ SQUARE_EDGE_MAX_GRADIENT = 0.337657228991638
 # (512 intervals), computed with fd_square_torsion below; differs from the
 # series value by the O(h^2) discretization error ~ 2.2e-7.
 SQUARE_TORSION_CENTER_FD512 = 0.0736711318
-
-
-def phi_rational(x: float) -> float:
-    """Zelen-Severo rational approximation 26.2.17 for the standard
-    normal CDF, |error| < 7.5e-8; independent of any erf implementation."""
-    if x < 0:
-        return 1.0 - phi_rational(-x)
-    p = 0.2316419
-    b = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-    t = 1.0 / (1.0 + p * x)
-    poly = sum(bk * t ** (k + 1) for k, bk in enumerate(b))
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 1.0 - pdf * poly
 
 
 def square_torsion_series(x: float, y: float, kmax: int = 400) -> float:

@@ -171,7 +171,7 @@ class TestCnLowerBound:
 
     def test_uniform_floor_holds(self):
         for n in range(2, 101):
-            assert al.cn_lower_bound(n) >= al.cn_uniform_floor(n)
+            assert al.cn_lower_bound(n) >= 1.0 / (al.SQRT_2PIE * math.sqrt(n))
 
 
 class TestHalfDiskExample:
@@ -196,20 +196,3 @@ class TestBoundReport:
         assert rep.passed  # within 4 stderr
         rep2 = al.make_report("q", measured, 0.5, "why")
         assert not rep2.passed
-
-    def test_combined_stderr(self):
-        measured = Estimate(mean=1.0, stderr=0.3, samples=10)
-        rep = al.make_report("q", measured, 2.0, "why", bound_stderr=0.4)
-        assert rep.combined_stderr == pytest.approx(0.5)
-
-
-class TestConstantsTable:
-    def test_rows(self):
-        rows = al.constants_table([2, 3, 4])
-        assert [r.n for r in rows] == [2, 3, 4]
-        assert rows[0].omega_n == pytest.approx(math.pi)
-        assert rows[0].normalized == pytest.approx(al.SQRT_2PI, abs=1e-12)
-
-    def test_envelope_enforced(self):
-        with pytest.raises(ValueError):
-            al.DimensionConstants(n=2, omega_n=math.pi, normalized=1.0)

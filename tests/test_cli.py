@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,24 @@ class TestLemmas:
         assert "censored_fraction" in names
         assert any(n.startswith("lifetime_bound_") for n in names)
         assert any(n.startswith("exit_time_domination_") for n in names)
+
+    def test_ks_allowance_is_one_step_rise(self, tmp_path):
+        # crossing times sit on the dt = 1e-3 grid of [0, 1] at eps = 1, so
+        # the KS bound allows the conditional CDF's largest one-step rise
+        out = tmp_path / "l.json"
+        run(["lemmas", "--paths", "800", "--sweep", "0",
+             "--out", str(out)] + BASE)
+        doc = load_json(out)
+        rows = {r["quantity"]: r for r in doc["rows"]}
+        hits = round(800 * (1.0 - rows["censored_fraction"]["value"]))
+        cdf = [0.0] + [math.erfc(1.0 / math.sqrt(2e-3 * k))
+                       for k in range(1, 1001)]
+        rise = max(b - a for a, b in zip(cdf, cdf[1:])) / cdf[-1]
+        assert rise == pytest.approx(1.46e-3, abs=1e-5)
+        allowance = (rows["crossing_time_ks"]["bound"]
+                     - 1.949 / math.sqrt(hits))
+        assert allowance == pytest.approx(rise, rel=1e-9)
+        assert doc["header"]["config"]["max_steps"] == 100_000
 
 
 class TestExamples:

@@ -79,10 +79,10 @@ class TestTorsionValue:
         joint = math.hypot(a.stderr, b.stderr)
         assert abs(a.mean - b.mean) <= 3.0 * joint + 2.0 * CFG.shell_width * body.diameter
 
-    def test_truncation_reported_not_dropped(self):
+    def test_truncation_reported_not_dropped(self, monkeypatch):
         body = cg.Ball([0.0, 0.0], 1.0)
-        est = wos.torsion_value(body, [0.3, 0.0],
-                                CFG.replace(max_steps=2, samples=500))
+        monkeypatch.setattr(wos, "_MAX_STEPS", 2)
+        est = wos.torsion_value(body, [0.3, 0.0], CFG.replace(samples=500))
         assert est.truncated_fraction > 0.5
         assert est.degraded
         # capped walks carry the uniform remainder bound, keeping the
@@ -91,8 +91,8 @@ class TestTorsionValue:
         # one step from the centre reaches the sphere: every walk is capped
         # and adds R^2/(2n) plus the remainder bound
         body = cg.Ball([0.0] * 3, 1.0)
-        est = wos.torsion_value(body, [0.0] * 3,
-                                CFG.replace(max_steps=1, samples=500))
+        monkeypatch.setattr(wos, "_MAX_STEPS", 1)
+        est = wos.torsion_value(body, [0.0] * 3, CFG.replace(samples=500))
         assert est.truncated_fraction == 1.0
         assert est.mean == pytest.approx(1.0 / 6.0 + wos._tail_bound(body),
                                          rel=1e-12)
@@ -211,6 +211,27 @@ class TestMaxNormalDerivative:
                 <= oracles.SQUARE_EDGE_MAX_GRADIENT
                 + 5.0 * res.estimate.stderr + 0.02)
         assert res.estimate.mean <= al.theorem2_bound(2, 1.0)
+
+    @pytest.mark.parametrize("name", ["half-disk", "unit-box-n2",
+                                      "beck-ellipsoid-n2"])
+    @pytest.mark.parametrize("samples", [8, 40])
+    def test_probes_are_the_stratified_sample(self, monkeypatch, name,
+                                              samples):
+        body = presets.body_preset(name)
+        probed = []
+        probe = wos.normal_derivative
+
+        def record(body, bp, cfg):
+            probed.append(bp.position)
+            return probe(body, bp, cfg)
+
+        monkeypatch.setattr(wos, "normal_derivative", record)
+        cfg = CFG.replace(samples=200)
+        res = wos.max_normal_derivative(body, cfg, samples)
+        expect = body.stratified_boundary(
+            samples, rng.derive(cfg.seed, wos._TAG_MAXGRAD))[0]
+        assert np.array_equal(np.array(probed), expect)
+        assert any(np.array_equal(res.location, p) for p in expect)
 
     def test_theorem2_on_half_disk(self):
         body = presets.half_ball(2)
