@@ -346,6 +346,9 @@ def cmd_examples(args) -> int:
 def cmd_constants(args) -> int:
     cfg = _build_config(args)
     n_values = range(args.n_min, args.n_max + 1)
+    if not n_values:
+        raise ValueError(f"empty range: --n-min {args.n_min} exceeds "
+                         f"--n-max {args.n_max}")
     rows = []
     ok = True
     for n in n_values:

@@ -33,6 +33,7 @@ accepted as members of a bounded intersection.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -336,11 +337,17 @@ class Box(ConvexBody):
         self.upper = upper
         self.dimension = lower.size
 
+    # Both reduce along the long axis of the transposed points: numpy
+    # reduces a row of n values slowly, and min and all are exact.
     def contains_many(self, points):
-        return np.all((points >= self.lower) & (points <= self.upper), axis=1)
+        pt = np.ascontiguousarray(points.T)
+        return ((pt >= self.lower[:, None])
+                & (pt <= self.upper[:, None])).all(axis=0)
 
     def distances_many(self, points):
-        return np.minimum(points - self.lower, self.upper - points).min(axis=1)
+        pt = np.ascontiguousarray(points.T)
+        return np.minimum(pt - self.lower[:, None],
+                          self.upper[:, None] - pt).min(axis=0)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -573,8 +580,11 @@ class Polytope(ConvexBody):
             self._center = center
             self._inradius = radius
 
+    # Both reduce over faces along the long axis of the transposed
+    # product (min and all are exact); A @ points.T would round unlike it.
     def contains_many(self, points):
-        return np.all(points @ self.A.T <= self.c, axis=1)
+        q = np.ascontiguousarray((points @ self.A.T).T)
+        return (q <= self.c[:, None]).all(axis=0)
 
     def distances_many(self, points):
         if len(points) == 1:
@@ -582,7 +592,8 @@ class Polytope(ConvexBody):
             # gemm; doubling the row keeps each point's distance
             # independent of how many points share the call
             return self.distances_many(np.vstack((points, points)))[:1]
-        return (self.c - points @ self.A.T).min(axis=1)
+        q = np.ascontiguousarray((points @ self.A.T).T)
+        return np.subtract(self.c[:, None], q, out=q).min(axis=0)
 
     def bounding_box(self):
         if not self.require_bounded:
@@ -943,8 +954,9 @@ def body_to_json(body: ConvexBody) -> dict:
 
 
 def _finite_number(v) -> bool:
+    # compares exactly: an int too large for a float is not finite
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _integer(v) -> bool:

@@ -27,8 +27,9 @@ class WosConfig:
             raise ValueError("shell_width must lie in (0, 1)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.fd_delta <= self.shell_width:
-            raise ValueError("fd_delta must exceed shell_width")
+        if not (math.isfinite(self.fd_delta)
+                and self.fd_delta > self.shell_width):
+            raise ValueError("fd_delta must be finite and exceed shell_width")
 
     def replace(self, **changes) -> "WosConfig":
         return dataclasses.replace(self, **changes)

@@ -7,6 +7,8 @@ coordinates, so results do not depend on batch sizes or call order:
   slot)`` to a double in (0, 1) with a splitmix64-style finalizer.  A
   "unit" is a walk index, candidate index, or path index; any partition
   of the units into batches reproduces the same values bit for bit.
+  It is ``draw_uniforms(unit_keys(key, units), counter, nslots)``: a
+  walk keys its units once and draws from the keys at every step.
 * ``path_generator(key, index)`` builds a counter-based Philox generator
   keyed by ``(key, index)``: the long private stream of one 1-D path.
 * ``path_draws(key, first, normals, unif)`` fills a block of such paths
@@ -44,14 +46,14 @@ def _mix_int(z: int) -> int:
     return z
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over a uint64 array."""
-    z = z.copy()
-    z ^= z >> np.uint64(30)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array (returned)."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -73,48 +75,55 @@ def derive_from_floats(key: int, values) -> int:
     return derive(key, *(int(b) for b in bits))
 
 
-def _unit_keys(key: int, units: np.ndarray) -> np.ndarray:
-    u = np.ascontiguousarray(units, dtype=np.uint64)
-    return _mix_array((u + np.uint64(derive(key))) * np.uint64(_GOLDEN))
+def unit_keys(key: int, units: np.ndarray) -> np.ndarray:
+    """Per-unit keys: unit ``units[i]``'s draws depend on it only
+    through element i, at every counter."""
+    u = np.asarray(units, dtype=np.uint64)
+    return _mix((u + np.uint64(derive(key))) * np.uint64(_GOLDEN))
+
+
+def draw_uniforms(keys: np.ndarray, counter: int, nslots: int) -> np.ndarray:
+    """``uniforms`` from per-unit keys, all slots in one pass."""
+    if nslots > MAX_SLOTS:
+        raise ValueError(f"nslots {nslots} exceeds MAX_SLOTS {MAX_SLOTS}")
+    first = np.uint64(int(counter) * MAX_SLOTS & _MASK)
+    words = (np.arange(nslots, dtype=np.uint64) + first) * np.uint64(_STEP_MULT)
+    z = _mix(keys[:, None] + words)
+    z >>= np.uint64(11)
+    # 53-bit mantissa, offset keeps draws strictly inside (0, 1)
+    return z * 2.0**-53 + 2.0**-54
+
+
+def draw_unit_vectors(keys: np.ndarray, counter: int, dim: int) -> np.ndarray:
+    """``unit_vectors`` from per-unit keys.  Dimensions 2 and 3 use exact
+    angle maps (1 and 2 uniforms); higher ones normalize a Gaussian."""
+    if dim == 2:
+        theta = 2.0 * np.pi * draw_uniforms(keys, counter, 1)[:, 0]
+        return np.column_stack((np.cos(theta), np.sin(theta)))
+    if dim == 3:
+        u = draw_uniforms(keys, counter, 2)
+        z = 2.0 * u[:, 0] - 1.0
+        phi = 2.0 * np.pi * u[:, 1]
+        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+    g = ndtri(draw_uniforms(keys, counter, dim))
+    norm = np.linalg.norm(g, axis=1)
+    norm[norm < 1e-300] = 1.0
+    return g / norm[:, None]
 
 
 def uniforms(key: int, units: np.ndarray, counter: int, nslots: int) -> np.ndarray:
     """Draws in (0, 1), shape ``(len(units), nslots)``.
 
-    ``counter`` advances per use site (e.g. per walk step or rejection
-    round); ``nslots`` must stay below MAX_SLOTS.
+    ``counter`` advances per use site (e.g. per rejection round);
+    ``nslots`` must stay below MAX_SLOTS.
     """
-    if nslots > MAX_SLOTS:
-        raise ValueError(f"nslots {nslots} exceeds MAX_SLOTS {MAX_SLOTS}")
-    base = _unit_keys(key, units)
-    out = np.empty((base.size, nslots))
-    for j in range(nslots):
-        word = ((int(counter) * MAX_SLOTS + j) * _STEP_MULT) & _MASK
-        v = _mix_array(base + np.uint64(word))
-        # 53-bit mantissa, offset keeps draws strictly inside (0, 1)
-        out[:, j] = (v >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return out
+    return draw_uniforms(unit_keys(key, units), counter, nslots)
 
 
 def unit_vectors(key: int, units: np.ndarray, counter: int, dim: int) -> np.ndarray:
-    """Uniform directions on the unit sphere S^{dim-1}, one per unit.
-
-    Dimensions 2 and 3 use exact angle maps (1 and 2 uniforms); higher
-    dimensions normalize a Gaussian vector.
-    """
-    if dim == 2:
-        theta = 2.0 * np.pi * uniforms(key, units, counter, 1)[:, 0]
-        return np.column_stack((np.cos(theta), np.sin(theta)))
-    if dim == 3:
-        u = uniforms(key, units, counter, 2)
-        z = 2.0 * u[:, 0] - 1.0
-        phi = 2.0 * np.pi * u[:, 1]
-        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
-    g = ndtri(uniforms(key, units, counter, dim))
-    norm = np.linalg.norm(g, axis=1)
-    norm[norm < 1e-300] = 1.0
-    return g / norm[:, None]
+    """Uniform directions on the unit sphere S^{dim-1}, one per unit."""
+    return draw_unit_vectors(unit_keys(key, units), counter, dim)
 
 
 def _path_key(key: int, index: int) -> np.ndarray:

@@ -12,8 +12,8 @@ estimate stays conservative, and are counted in truncated_fraction.
 All walks from one start advance together in one loop that drops walks
 from its arrays as they absorb; very large sample counts run in blocks of
 walk indices to bound memory.  Randomness is keyed by (seed, start point,
-walk index, step), so every block size reproduces the same per-walk values
-bit for bit.
+walk index, step), each walk's key derived once (``rng.unit_keys``), so
+every block size reproduces the same per-walk values bit for bit.
 
 The gradient maximum probes each point of the body's stratified boundary
 sample (``ConvexBody.stratified_boundary``) once and keeps the largest
@@ -67,6 +67,7 @@ def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
     its walk index; returns the number of walks that hit the step cap."""
     n = body.dimension
     ids = np.arange(lo, hi, dtype=np.uint64)
+    keys = rng.unit_keys(key, ids)
     pos = np.tile(x, (hi - lo, 1))
     acc = np.zeros(hi - lo)
     shell = cfg.shell_width * body.diameter
@@ -77,11 +78,14 @@ def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
         if not alive.all():
             dead = ~alive
             values[ids[dead]] = acc[dead]
-            ids, pos, acc, d = ids[alive], pos[alive], acc[alive], d[alive]
+            ids, keys, pos, acc, d = (ids[alive], keys[alive], pos[alive],
+                                      acc[alive], d[alive])
             if ids.size == 0:
                 return 0
         acc += d * d * inv2n
-        pos += d[:, None] * rng.unit_vectors(key, ids, step, n)
+        dirs = rng.draw_unit_vectors(keys, step, n)
+        dirs *= d[:, None]
+        pos += dirs
     values[ids] = acc + _tail_bound(body)
     return ids.size
 

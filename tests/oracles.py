@@ -5,7 +5,10 @@ library code it checks: frozen 50-digit values for the normal CDF,
 Fourier series and five-point finite differences for the square torsion
 problem, ray casting for distances, scalar bisection for the exact
 ellipsoid distance, central differences for Laplacians, and radial or
-tensor quadrature for polynomial integrals over balls and boxes.
+tensor quadrature for polynomial integrals over balls and boxes.  The
+library's earlier loops (the per-path crossing simulation, the per-slot
+draws and walk, the row-by-row box and polytope reductions) are kept
+verbatim as references that the faster code must match bit for bit.
 """
 
 import math
@@ -291,3 +294,140 @@ def ellipsoid_exact_distance(body, x) -> float:
     t = 0.5 * (lo_probe + hi)
     d = math.sqrt(float(np.sum((y * t / (b2 + t)) ** 2)))
     return max(d, lower)
+
+
+# The keyed draws and the walk block as the library wrote them before a
+# walk keyed its streams once: the unit keys re-derived on every call and
+# one splitmix pass per slot.  The walk tests and the draw tests hold the
+# library to these bit for bit.
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_STEP_MULT = 0xD1342543DE82EF95
+MAX_SLOTS = 64
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized over a uint64 array."""
+    z = z.copy()
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit_keys(key: int, units: np.ndarray) -> np.ndarray:
+    from torsion_bound import rng
+
+    u = np.ascontiguousarray(units, dtype=np.uint64)
+    return _mix_array((u + np.uint64(rng.derive(key))) * np.uint64(_GOLDEN))
+
+
+def uniforms_per_slot(key: int, units: np.ndarray, counter: int,
+                      nslots: int) -> np.ndarray:
+    """Reference for rng.uniforms: one splitmix pass per slot."""
+    if nslots > MAX_SLOTS:
+        raise ValueError(f"nslots {nslots} exceeds MAX_SLOTS {MAX_SLOTS}")
+    base = _unit_keys(key, units)
+    out = np.empty((base.size, nslots))
+    for j in range(nslots):
+        word = ((int(counter) * MAX_SLOTS + j) * _STEP_MULT) & _MASK
+        v = _mix_array(base + np.uint64(word))
+        # 53-bit mantissa, offset keeps draws strictly inside (0, 1)
+        out[:, j] = (v >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return out
+
+
+def unit_vectors_per_slot(key: int, units: np.ndarray, counter: int,
+                          dim: int) -> np.ndarray:
+    """Reference for rng.unit_vectors on uniforms_per_slot."""
+    from scipy.special import ndtri
+
+    if dim == 2:
+        theta = 2.0 * np.pi * uniforms_per_slot(key, units, counter, 1)[:, 0]
+        return np.column_stack((np.cos(theta), np.sin(theta)))
+    if dim == 3:
+        u = uniforms_per_slot(key, units, counter, 2)
+        z = 2.0 * u[:, 0] - 1.0
+        phi = 2.0 * np.pi * u[:, 1]
+        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+    g = ndtri(uniforms_per_slot(key, units, counter, dim))
+    norm = np.linalg.norm(g, axis=1)
+    norm[norm < 1e-300] = 1.0
+    return g / norm[:, None]
+
+
+def _torsion_block_per_step(body, x, cfg, key, lo, hi, values) -> int:
+    from torsion_bound import wos_engine as wos
+
+    n = body.dimension
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    pos = np.tile(x, (hi - lo, 1))
+    acc = np.zeros(hi - lo)
+    shell = cfg.shell_width * body.diameter
+    inv2n = 1.0 / (2.0 * n)
+    for step in range(wos._MAX_STEPS):
+        d = body.distances_many(pos)
+        alive = d > shell
+        if not alive.all():
+            dead = ~alive
+            values[ids[dead]] = acc[dead]
+            ids, pos, acc, d = ids[alive], pos[alive], acc[alive], d[alive]
+            if ids.size == 0:
+                return 0
+        acc += d * d * inv2n
+        pos += d[:, None] * unit_vectors_per_slot(key, ids, step, n)
+    values[ids] = acc + wos._tail_bound(body)
+    return ids.size
+
+
+def torsion_value_per_step(body, x, cfg):
+    """Reference for wos_engine.torsion_value: every step re-keys its walks
+    and draws its directions from unit_vectors_per_slot."""
+    from torsion_bound import rng
+    from torsion_bound import wos_engine as wos
+    from torsion_bound.estimates import Estimate
+
+    x = np.asarray(x, dtype=float)
+    key = rng.derive_from_floats(rng.derive(cfg.seed, wos._TAG_TORSION), x)
+    values = np.empty(cfg.samples)
+    truncated = sum(
+        _torsion_block_per_step(body, x, cfg, key, lo,
+                                min(lo + wos._BLOCK, cfg.samples), values)
+        for lo in range(0, cfg.samples, wos._BLOCK))
+    return Estimate.from_values(values, truncated=truncated)
+
+
+def distances_rows(body, points: np.ndarray) -> np.ndarray:
+    """Reference for distances_many: boxes and polytopes reduced along
+    rows, as the library did before it reduced along the long axis;
+    intersections recurse, other bodies are the library's own."""
+    from torsion_bound import convex_geometry as cg
+
+    if isinstance(body, cg.Box):
+        return np.minimum(points - body.lower, body.upper - points).min(axis=1)
+    if isinstance(body, cg.Polytope):
+        if len(points) == 1:
+            return distances_rows(body, np.vstack((points, points)))[:1]
+        return (body.c - points @ body.A.T).min(axis=1)
+    if isinstance(body, cg.Intersection):
+        return np.min([distances_rows(m, points) for m in body.members],
+                      axis=0)
+    return body.distances_many(points)
+
+
+def contains_rows(body, points: np.ndarray) -> np.ndarray:
+    """Reference for contains_many, row by row as distances_rows."""
+    from torsion_bound import convex_geometry as cg
+
+    if isinstance(body, cg.Box):
+        return np.all((points >= body.lower) & (points <= body.upper), axis=1)
+    if isinstance(body, cg.Polytope):
+        return np.all(points @ body.A.T <= body.c, axis=1)
+    if isinstance(body, cg.Intersection):
+        return np.all([contains_rows(m, points) for m in body.members],
+                      axis=0)
+    return body.contains_many(points)

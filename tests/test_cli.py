@@ -41,6 +41,15 @@ class TestConstants:
         assert rows[0] == cli.CONSTANTS_COLUMNS
         assert len(rows) == 4  # header + n = 2, 3, 4
 
+    def test_empty_range_exits_2_with_one_line(self, capsys):
+        # an empty table would pass every check it does not contain
+        code = run(["constants", "--n-min", "5", "--n-max", "2"] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestVerifyHh:
     def test_half_disk_preset_passes(self, tmp_path):
@@ -161,6 +170,15 @@ class TestDeterminismAndErrors:
 
     def test_missing_fn_exits_2(self):
         assert run(["verify-hh", "--body", "unit-ball-n2"] + BASE) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fd_delta_exits_2_naming_it(self, capsys, value):
+        code = run(["gradient", "--body", "unit-ball-n2", "--fd-delta", value]
+                   + BASE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "fd_delta" in err
 
     def test_bad_json_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -86,6 +86,40 @@ class TestDistance:
             assert exact == pytest.approx(oracle, abs=2e-4)
 
 
+# Boxes and polytopes reduce along the long axis; these bodies check the
+# result against the row-by-row formulas bit for bit.
+ROW_FORMULA_BODIES = {
+    "box-n2": lambda: cg.Box([-1.0, -0.5], [2.0, 0.5]),
+    "box-n3": lambda: cg.Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+    "box-n6": lambda: cg.Box(-0.3 * np.arange(1, 7), 0.7 * np.arange(1, 7)),
+    **{f"simplex-n{n}": (lambda n=n: presets.simplex(n)) for n in range(2, 7)},
+    "random-polytope-n3": lambda: presets.body_preset("random-polytope-n3"),
+    "polytope-13-n4": lambda: presets.random_polytope(4, 13, seed=5),
+    "polytope-40-n4": lambda: presets.random_polytope(4, 40, seed=6),
+    "half-disk": half_disk,
+}
+
+
+class TestLongAxisReductions:
+    @pytest.mark.parametrize("name", sorted(ROW_FORMULA_BODIES))
+    def test_equal_to_row_formulas(self, name):
+        body = ROW_FORMULA_BODIES[name]()
+        lo, hi = body.bounding_box()
+        x0 = body.interior_point()
+        for count in (1, 2, 7, 1500):
+            u = rng.uniforms(61, np.arange(count, dtype=np.uint64), 0,
+                             body.dimension)
+            # the bounding box grown by 20% on each side, every other
+            # point pulled towards the interior: points inside and out
+            pull = np.where(np.arange(count) % 2, 0.1, 1.0)[:, None]
+            pts = x0 + pull * (lo + (1.4 * u - 0.2) * (hi - lo) - x0)
+            inside = body.contains_many(pts)
+            assert np.array_equal(body.distances_many(pts),
+                                  oracles.distances_rows(body, pts))
+            assert np.array_equal(inside, oracles.contains_rows(body, pts))
+        assert 0 < inside.sum() < count
+
+
 class TestVolume:
     def test_ball_exact(self):
         est = cg.volume(cg.Ball([0, 0], 1.0), CFG)

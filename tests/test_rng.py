@@ -1,8 +1,11 @@
 """Determinism and statistical sanity of the counter-based streams."""
 
 import numpy as np
+import pytest
 
 from torsion_bound import rng
+
+import oracles
 
 
 class TestUniforms:
@@ -62,6 +65,35 @@ class TestUnitVectors:
         # each coordinate of a uniform direction has variance 1/dim
         v = rng.unit_vectors(17, np.arange(100_000, dtype=np.uint64), 0, 3)
         assert np.allclose(v.var(axis=0), 1.0 / 3.0, atol=0.01)
+
+
+class TestPerSlotReference:
+    """The draws equal the earlier per-slot implementation bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_draws_equal(self, dim):
+        for counter in (0, 7, 2**20):
+            for count in (0, 1, 7, 1500):
+                ids = np.arange(5, 5 + 2 * count, 2, dtype=np.uint64)
+                keys = rng.unit_keys(29, ids)
+                ref_u = oracles.uniforms_per_slot(29, ids, counter, dim)
+                ref_v = oracles.unit_vectors_per_slot(29, ids, counter, dim)
+                assert ref_u.shape == (count, dim)
+                assert np.array_equal(rng.uniforms(29, ids, counter, dim),
+                                      ref_u)
+                assert np.array_equal(rng.draw_uniforms(keys, counter, dim),
+                                      ref_u)
+                assert np.array_equal(
+                    rng.unit_vectors(29, ids, counter, dim), ref_v)
+                assert np.array_equal(
+                    rng.draw_unit_vectors(keys, counter, dim), ref_v)
+
+    def test_strided_units_and_slot_cap(self):
+        ids = np.arange(3000, dtype=np.uint64)[::3]
+        assert np.array_equal(rng.uniforms(4, ids, 9, 5),
+                              oracles.uniforms_per_slot(4, ids, 9, 5))
+        with pytest.raises(ValueError, match="MAX_SLOTS"):
+            rng.uniforms(4, ids, 0, rng.MAX_SLOTS + 1)
 
 
 class TestDerive:

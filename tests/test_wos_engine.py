@@ -98,6 +98,32 @@ class TestTorsionValue:
                                          rel=1e-12)
 
 
+class TestPerStepReference:
+    """torsion_value equals the earlier walk, which re-keyed its walks and
+    drew per slot at every step, bit for bit."""
+
+    @pytest.mark.parametrize("name", [
+        "unit-ball-n2", "unit-box-n2", "beck-ellipsoid-n4", "half-disk",
+        "random-polytope-n3", "simplex-n5"])
+    def test_estimate_equal(self, name):
+        body = (presets.simplex(5) if name == "simplex-n5"
+                else presets.body_preset(name))
+        n = body.dimension
+        x = body.interior_point() + 0.5 * body.inradius() / math.sqrt(n)
+        cfg = WosConfig(samples=2000, seed=13)
+        est = wos.torsion_value(body, x, cfg)
+        assert est.stderr > 0
+        assert est == oracles.torsion_value_per_step(body, x, cfg)
+
+    def test_estimate_equal_across_blocks(self, monkeypatch):
+        body = presets.body_preset("random-polytope-n3")
+        x = body.interior_point()
+        cfg = WosConfig(samples=2000, seed=17)
+        ref = oracles.torsion_value_per_step(body, x, cfg)
+        monkeypatch.setattr(wos, "_BLOCK", 777)
+        assert wos.torsion_value(body, x, cfg) == ref
+
+
 class TestExitTime:
     def test_ball_center(self):
         est = wos.exit_time_mean(cg.Ball([0.0, 0.0], 1.0), [0.0, 0.0], CFG)
