@@ -179,7 +179,7 @@ def _keyed_rejection(draw, count: int, batch: int, limit: int, starved: str):
         next_id += batch
         *arrays, ok = draw(ids)
         if not ok.all():
-            arrays = [a[ok] for a in arrays]
+            arrays = [a.compress(ok, axis=0) for a in arrays]
         parts.append(arrays)
         collected += len(arrays[0])
     return tuple(np.concatenate(col)[:count] for col in zip(*parts))
@@ -262,10 +262,24 @@ class Ball(ConvexBody):
 class Ellipsoid(ConvexBody):
     """Axis-aligned ellipsoid {x : sum ((x_i - c_i)/b_i)^2 <= 1}.
 
-    distances_many returns the certified lower bound b_min (1 - sqrt(q)),
-    exact at the center and along the shortest axis (the quadratic form q
-    has |grad sqrt(q)| <= 1/b_min, so integrating along the segment to the
-    nearest boundary point gives the bound).
+    distances_many returns a certified lower bound on the distance.  With
+    y = x - c, q = sum (y_i/b_i)^2, g = |y / b^2| and gap = 1 - q, an
+    interior point (q < 1) gets
+
+        r(y) = gap / (g + sqrt(g^2 + gap / b_min^2)),
+
+    the positive root of r^2/b_min^2 + 2 g r = gap.  Proof: a boundary
+    point p with |p - y| = r has 1 = q + 2 (y/b^2).(p - y)
+    + sum (p_i - y_i)^2/b_i^2 <= q + 2 g r + r^2/b_min^2, so no boundary
+    point is nearer than r(y).  As g <= sqrt(q)/b_min, r(y) is at least
+    b_min (1 - sqrt(q)); the two are equal, and exact, at the center and
+    along the shortest axis.  Written out, r(y) = b_min sqrt(1 - y.M y)
+    - b_min^2 g with M = diag((b_i^2 - b_min^2)/b_i^4): a concave root
+    minus a norm, so r is concave inside the ellipsoid, as the depth
+    search of an Intersection assumes.
+    That form cancels near the boundary, where walks take most of their
+    steps; the rationalized one keeps full precision there.  Points with
+    q >= 1 get b_min (1 - sqrt(q)) <= 0.
     """
 
     def __init__(self, center, semi_axes):
@@ -289,8 +303,22 @@ class Ellipsoid(ConvexBody):
         return self._q(points) <= 1.0
 
     def distances_many(self, points):
+        # scaled by b_min: r = b_min gap / (h + sqrt(h^2 + gap)), h = b_min g
         b_min = self.semi_axes.min()
-        return b_min * (1.0 - np.sqrt(self._q(points)))
+        z = (points - self.center) / self.semi_axes
+        q = np.einsum("ij,ij->i", z, z)
+        z *= b_min / self.semi_axes
+        h2 = np.einsum("ij,ij->i", z, z)
+        gap = 1.0 - q
+        r = np.maximum(gap, 0.0)
+        r += h2
+        np.sqrt(r, out=r)
+        r += np.sqrt(h2)
+        np.divide(b_min * gap, r, out=r)
+        outside = gap <= 0.0
+        if outside.any():
+            r[outside] = b_min * (1.0 - np.sqrt(q[outside]))
+        return r
 
     def bounding_box(self):
         return self.center - self.semi_axes, self.center + self.semi_axes
@@ -402,7 +430,7 @@ class Box(ConvexBody):
         for fi in range(len(faces)):
             sel = np.nonzero(face_idx == fi)[0]
             if sel.size:
-                pos[sel], nrm[sel] = self._face_points(fi, u[sel])
+                pos[sel], nrm[sel] = self._face_points(fi, u.take(sel, axis=0))
         wgt = np.full(len(ids), total)
         return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
 
@@ -672,7 +700,7 @@ class Polytope(ConvexBody):
                 u = rng.uniforms(key, ids[sel_idx[todo]], round_, n - 1)
                 y = face.chart_lo + u * span
                 good = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
-                coords[todo[good]] = y[good]
+                coords[todo[good]] = y.compress(good, axis=0)
                 todo = todo[~good]
             else:
                 raise SamplingStarved("face sampling starved; degenerate face?")
@@ -817,8 +845,8 @@ class Intersection(ConvexBody):
         wgt = np.empty(len(ids))
         ok = np.empty(len(ids), dtype=bool)
         for k in range(len(samplers)):
-            sel = member_idx == k
-            if sel.any():
+            sel = np.flatnonzero(member_idx == k)
+            if sel.size:
                 draw = self._stratum(k, rng.derive(key, 7100 + k))
                 pos[sel], nrm[sel], w, ok[sel] = draw(ids[sel])
                 wgt[sel] = w / fracs[k]

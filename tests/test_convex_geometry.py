@@ -86,6 +86,129 @@ class TestDistance:
             assert exact == pytest.approx(oracle, abs=2e-4)
 
 
+def random_ellipsoid(gen, n):
+    return cg.Ellipsoid(gen.uniform(-1.0, 1.0, n),
+                        np.exp(gen.uniform(-2.0, 2.0, n)))
+
+
+def quadratic_form(body, points):
+    z = (points - body.center) / body.semi_axes
+    return np.einsum("ij,ij->i", z, z)
+
+
+def axis_bound(body, points):
+    """b_min (1 - sqrt(q)): the distance bound the ellipsoid had before
+    its second-order bound, and the one it keeps where q >= 1."""
+    return body.semi_axes.min() * (1.0 - np.sqrt(quadratic_form(body, points)))
+
+
+def rounding_slack(body):
+    """n ulps of the body's scale.  Rounding y = x - c and q moves any
+    bound of this kind by a few ulps: right at the boundary both the
+    second-order bound and b_min (1 - sqrt(q)) overshoot the true distance
+    by up to 0.14 of this slack."""
+    scale = body.semi_axes.max() + np.abs(body.center).max()
+    return body.dimension * np.finfo(float).eps * scale
+
+
+def points_inside(body, gen, count, min_depth=1e-7):
+    """Points at q = (1 - s)^2 with s log-uniform down to ``min_depth``."""
+    n = body.dimension
+    u = gen.normal(size=(count, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    s = 10.0 ** gen.uniform(math.log10(min_depth), 0.0, (count, 1))
+    return body.center + body.semi_axes * u * (1.0 - s)
+
+
+class TestEllipsoidDistance:
+    """The closed-form certified distance of the Ellipsoid docstring."""
+
+    def test_certified_against_high_precision(self):
+        # 2400 points eps-deep along inward normals, eps / b_min
+        # log-uniform in [1e-8, 1], on 400 random ellipsoids (n = 2..6,
+        # log semi-axes in [-2, 2])
+        gen = np.random.default_rng(20)
+        checked = 0
+        for _ in range(400):
+            body = random_ellipsoid(gen, int(gen.integers(2, 7)))
+            b, n = body.semi_axes, body.dimension
+            u = gen.normal(size=(6, n))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            normal = -u / b
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            depth = 10.0 ** gen.uniform(-8.0, 0.0, (6, 1)) * b.min()
+            pts = body.center + b * u + depth * normal
+            inside = body.contains_many(pts)
+            pts, depth = pts[inside], depth[inside, 0]
+            r = body.distances_many(pts)
+            exact = np.array([oracles.ellipsoid_distance_mp(body, p)
+                              for p in pts])
+            slack = rounding_slack(body)
+            assert np.all(r <= exact * (1.0 + 1e-9) + slack)
+            # never below the axis bound, whose ratio to the true distance
+            # is at least b_min / b_max
+            floor = exact * b.min() / b.max() * (1.0 - 1e-9) - slack
+            assert np.all(r >= floor)
+            # tight within 1e-4 b_min of the boundary, where walks end
+            near = depth <= 1e-4 * b.min()
+            assert np.all(r[near] >= 0.9 * exact[near])
+            checked += len(pts)
+        assert checked >= 2000
+
+    def test_at_least_the_axis_bound(self):
+        gen = np.random.default_rng(21)
+        for _ in range(100):
+            body = random_ellipsoid(gen, int(gen.integers(2, 7)))
+            b_min, slack = body.semi_axes.min(), rounding_slack(body)
+            pts = points_inside(body, gen, 200, min_depth=1e-9)
+            assert np.all(body.distances_many(pts) >= axis_bound(body, pts))
+            # equal at the center (exactly) and along the shortest axis
+            assert body.distances_many(body.center[None, :])[0] == b_min
+            axis = np.tile(body.center, (50, 1))
+            axis[:, np.argmin(body.semi_axes)] += b_min * np.concatenate(
+                [gen.uniform(-1.0, 1.0, 48), [0.0, 1.0 - 1e-12]])
+            assert np.allclose(body.distances_many(axis),
+                               axis_bound(body, axis), rtol=0.0, atol=slack)
+
+    def test_outside_keeps_the_axis_bound(self):
+        gen = np.random.default_rng(22)
+        for _ in range(100):
+            body = random_ellipsoid(gen, int(gen.integers(2, 7)))
+            n = body.dimension
+            u = gen.normal(size=(200, n))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            scale = np.concatenate([[1.0], gen.uniform(1.0, 3.0, 199)])
+            pts = body.center + body.semi_axes * u * scale[:, None]
+            # the axis tips, where q rounds to 1 or to either side of it
+            tips = body.center + np.diag(body.semi_axes)
+            pts = np.vstack([pts, tips, 2.0 * body.center - tips])
+            with np.errstate(all="raise"):
+                r = body.distances_many(pts)
+            assert np.all(np.isfinite(r))
+            outside = quadratic_form(body, pts) >= 1.0
+            assert outside.sum() >= 199
+            assert np.array_equal(r[outside], axis_bound(body, pts[outside]))
+
+    @pytest.mark.parametrize("body", [presets.beck_ellipsoid(4),
+                                      cg.Ellipsoid([0.5, -1.0], [30.0, 1.0])],
+                             ids=["beck-ellipsoid-n4", "ellipse-1-30"])
+    def test_concave_and_1_lipschitz(self, body):
+        gen = np.random.default_rng(23)
+        slack = rounding_slack(body)
+        a = points_inside(body, gen, 20_000)
+        far = points_inside(body, gen, 20_000)
+        # close pairs probe the gradient, mostly near the boundary
+        close = a + 1e-6 * body.semi_axes.min() * gen.normal(size=a.shape)
+        close = np.where(body.contains_many(close)[:, None], close, a)
+        ra = body.distances_many(a)
+        for other in (far, close):
+            ro = body.distances_many(other)
+            mid = body.distances_many(0.5 * (a + other))
+            assert np.all(mid >= 0.5 * (ra + ro) - slack)
+            step = np.linalg.norm(a - other, axis=1)
+            assert np.all(np.abs(ra - ro) <= step * (1.0 + 1e-9) + slack)
+
+
 # Boxes and polytopes reduce along the long axis; these bodies check the
 # result against the row-by-row formulas bit for bit.
 ROW_FORMULA_BODIES = {

@@ -51,6 +51,36 @@ class TestTorsionValue:
         tol = 3.0 * est.stderr + 2.0 * CFG.shell_width
         assert abs(est.mean - oracles.SQUARE_TORSION_QUARTER) <= tol
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_ellipsoid_closed_form(self, n):
+        # u = (1 - sum x_i^2/a_i^2) / (2 sum a_i^-2) on any ellipsoid
+        body = presets.beck_ellipsoid(n)
+        a = body.semi_axes
+        x = np.zeros(n)
+        x[0] = 0.45 * a[0]
+        exact = (1.0 - np.sum(x**2 / a**2)) / (2.0 * np.sum(a**-2.0))
+        est = wos.torsion_value(body, x, CFG.replace(samples=40_000,
+                                                      seed=12345))
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+    def test_ellipsoid_distance_rows_per_walk(self):
+        # the second-order distance bound keeps walks on the Beck
+        # ellipsoid near the exact distance's 27 rows per walk (the axis
+        # bound b_min (1 - sqrt(q)) took 39)
+        body = presets.beck_ellipsoid(4)
+        rows = 0
+        inner = body.distances_many
+
+        def counted(points):
+            nonlocal rows
+            rows += len(points)
+            return inner(points)
+
+        body.distances_many = counted
+        cfg = CFG.replace(seed=12345)
+        res = wos.max_normal_derivative(body, cfg, boundary_samples=8)
+        assert rows / (res.evaluations * cfg.samples) <= 30.0
+
     def test_rejects_exterior_and_shell_points(self):
         body = cg.Ball([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
