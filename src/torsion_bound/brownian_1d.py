@@ -30,6 +30,9 @@ from .analytic_library import SQRT_2PI
 # Path-steps simulated per block (64 paths of 1000 steps); bounds the
 # block's arrays at about 0.5 MB each.
 _BLOCK_STEPS = 65_536
+# Floor of the bridge exponents: exp(-40) < 2^-53, the least positive
+# uniform a path draws.
+_EXP_FLOOR = -40.0
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,20 @@ def simulate_hitting_times(law: HittingTimeLaw, count: int, dt: float,
         np.multiply(gap[:, :-1], -2.0, out=p[:, 1:])
         p *= gap
         p /= dt
+        # A path's uniforms are multiples of 2^-53, so a lane whose exp is
+        # below 2^-53 fires only where u == 0.  Flooring the exponents at
+        # _EXP_FLOOR keeps exp in numpy's fast range (below about -708 it
+        # costs 20 to 60 times as much; about half the lanes of a typical
+        # simulation lie there); the u == 0 lanes are then evaluated from
+        # their unfloored exponents.
+        np.maximum(p, _EXP_FLOOR, out=p)
         np.exp(p, out=p)
         fire = u < p
+        zero = np.flatnonzero(u == 0.0)
+        if zero.size:
+            r, s = np.divmod(zero, nsteps)
+            a = np.where(s > 0, gap[r, s - 1], eps)
+            fire[r, s] = np.exp(a * -2.0 * gap[r, s] / dt) > 0.0
         k = np.argmax(fire, axis=1)
         hit = fire[np.arange(m), k]
         times.append((k[hit] + 1) * dt)

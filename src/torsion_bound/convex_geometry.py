@@ -27,7 +27,10 @@ JSON schema (round-trips losslessly):
 Half-space normals must be unit vectors; the body is {x : a_i . x <= c_i}.
 A stand-alone polytope must be bounded (validated by linear programs in
 all +-coordinate directions); unbounded half-space collections are only
-accepted as members of a bounded intersection.
+accepted as members of a bounded intersection.  Linear programs only
+validate boundedness and find a polytope's Chebyshev centre (inradius and
+interior point); its face tables (areas and chart boxes) come from one
+qhull vertex enumeration (``scipy.spatial.HalfspaceIntersection``).
 """
 
 from __future__ import annotations
@@ -40,12 +43,25 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import rng
 from .analytic_library import ball_surface_area, ball_volume, unit_sphere_area
 from .estimates import Estimate, WosConfig
 
 _TOL = 1e-12
+# A polytope vertex lies on a constraint when it is within
+# _VERTEX_TOL x scale + _VERTEX_ROUNDING x size of its hyperplane (scale
+# the body's diameter, size its largest vertex coordinate).  qhull's
+# vertices miss their own hyperplanes by about 1e-16 x scale, and a vertex
+# far from the origin by about eps x size more: its coordinates round at
+# that size.  A vertex off a hyperplane lies at least the body's thickness
+# from it: 2e-12 x max(scale, size) or more for any polytope the
+# constructor accepts in n <= 6, but only 1e-9 x scale between a clipped
+# half-space member and its box, which must then sit within about 1e4
+# diameters of the origin.
+_VERTEX_TOL = 1e-13
+_VERTEX_ROUNDING = 64 * np.finfo(float).eps
 # operation tags for stream derivation
 _OP_VOLUME = 102
 _OP_AREA = 103
@@ -490,39 +506,19 @@ def _hrep_bbox(A, c):
     return lo, hi
 
 
-def _hrep_volume(A: np.ndarray, c: np.ndarray, scale: float) -> float:
-    """Exact volume of a bounded {A x <= c} by the recursive divergence
-    identity vol = (1/d) sum_i (c_i - a_i . x0) |face_i|."""
-    d = A.shape[1]
-    if d == 1:
-        lo, hi = -math.inf, math.inf
-        for a, ci in zip(A[:, 0], c):
-            if a > _TOL:
-                hi = min(hi, ci / a)
-            elif a < -_TOL:
-                lo = max(lo, ci / a)
-            elif ci < -1e-9 * scale:
-                return 0.0
-        return max(0.0, hi - lo)
-    center, radius = _chebyshev_center(A, c)
-    if center is None or radius <= 1e-12 * scale:
-        return 0.0
-    total = 0.0
-    for i in range(len(c)):
-        fv = _hrep_face_volume(A, c, i, scale)
-        if fv > 0.0:
-            total += (c[i] - A[i] @ center) * fv
-    return total / d
-
-
-def _face_subsystem(A, c, i):
-    """Constraints of face i expressed in an orthonormal chart of its
-    hyperplane: returns (basis Q, plane point p, A', c') or None if the
-    face is cut away entirely."""
+def _face_subsystem(A, c, i, Q=None):
+    """Constraints of face i expressed in an orthonormal chart Q of its
+    hyperplane (by default scipy's null space of a_i): returns (basis Q,
+    plane point p, A', c', rows), where rows are the indices of A's
+    constraints kept in A', or None if the face is cut away entirely."""
     a = A[i]
-    Q = null_space(a[None, :])  # (d, d-1), orthonormal
+    if Q is None:
+        # the sampled faces keep this chart: the Householder chart of
+        # _complement maps the same draws to other points, so every
+        # polytope's boundary samples would change
+        Q = null_space(a[None, :])  # (d, d-1), orthonormal
     p = c[i] * a
-    rows = [j for j in range(len(c)) if j != i]
+    rows = np.flatnonzero(np.arange(len(c)) != i)
     A2 = A[rows] @ Q
     c2 = c[rows] - A[rows] @ p
     norms = np.linalg.norm(A2, axis=1)
@@ -532,17 +528,72 @@ def _face_subsystem(A, c, i):
             return None  # a parallel constraint excludes the whole plane
     A2 = A2[keep] / norms[keep, None]
     c2 = c2[keep] / norms[keep]
-    return Q, p, A2, c2
+    return Q, p, A2, c2, rows[keep]
 
 
-def _hrep_face_volume(A, c, i, scale) -> float:
-    sub = _face_subsystem(A, c, i)
-    if sub is None:
-        return 0.0
-    _, _, A2, c2 = sub
-    if len(c2) == 0:
-        return 0.0
-    return _hrep_volume(A2, c2, scale)
+def _complement(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis (d, d-1) of the complement of the unit vector
+    a: the columns but k of the Householder reflection mapping e_k to
+    -sign(a_k) a, k the largest entry of |a|."""
+    k = int(np.argmax(np.abs(a)))
+    w = a.copy()
+    w[k] += math.copysign(1.0, a[k])
+    H = np.eye(len(a)) - np.outer(w, w / (1.0 + abs(a[k])))
+    return np.delete(H, k, axis=1)
+
+
+def _facets(on, ids, d: int, maximal: bool = False):
+    """(j, vertex mask, key) of each facet of a d-polytope, from the
+    incidence of its vertices (on[k, j]: vertex k lies on constraint j)
+    and their ids.  A constraint holding at least d vertices may bound a
+    facet.  One touching the body only along a lower face holds a vertex
+    set of lower dimension, which _vertex_volume measures as about 0; with
+    ``maximal`` it is dropped instead, as another constraint holds a
+    strict superset of its vertices.  Polytope.faces asks for that; in
+    the recursion the check costs more than measuring the rare degenerate
+    sets (filling a 6-D polytope's faces took 40% longer).  Each is keyed
+    by d and the ids of its vertices: one vertex set is a (d-1)-face in
+    one chart and a degenerate set in a chart of another dimension.  Of
+    constraints holding the same vertices (coincident on the body) only
+    the first is kept, so a redundant constraint touching a facet's
+    boundary is not counted twice."""
+    cols = np.flatnonzero(on.sum(axis=0) >= d)
+    if maximal:
+        held = on[:, cols].astype(float)
+        missing = held.T @ (1.0 - held)  # [j, k]: vertices on j but off k
+        cols = cols[~((missing == 0.0) & (missing.T > 0.0)).any(axis=1)]
+    seen = set()
+    for j in cols:
+        sel = on[:, j]
+        key = (d, ids[sel].tobytes())
+        if key not in seen:
+            seen.add(key)
+            yield j, sel, key
+
+
+def _vertex_volume(A, c, Y, on, ids, memo) -> float:
+    """Volume of the bounded {y : A y <= c} with vertices Y (one per row),
+    their incidence ``on`` and ids (as in _facets), by the recursive
+    divergence identity vol = (1/d) sum_j (c_j - a_j . x0) |facet_j|.  x0
+    is the vertex centroid; any x0 gives the same sum, as
+    sum_j a_j |facet_j| = 0.  Vertices spanning fewer than d dimensions
+    measure about 0: x0 lies on each constraint holding them all, and any
+    other constraint holds a set of still lower dimension.  ``memo`` keeps
+    each face's volume under its key, so a face shared by several facets
+    is measured once."""
+    d = A.shape[1]
+    if d == 1:
+        return float(Y.max() - Y.min())
+    x0 = Y.mean(axis=0)
+    total = 0.0
+    for j, sel, key in _facets(on, ids, d):
+        if key not in memo:
+            sub = _face_subsystem(A, c, j, _complement(A[j]))
+            memo[key] = 0.0 if sub is None else _vertex_volume(
+                sub[2], sub[3], (Y[sel] - sub[1]) @ sub[0],
+                on[np.ix_(sel, sub[4])], ids[sel], memo)
+        total += (c[j] - A[j] @ x0) * memo[key]
+    return total / d
 
 
 @dataclass(frozen=True)
@@ -572,9 +623,17 @@ class Polytope(ConvexBody):
     """Bounded intersection of half-spaces {x : a_i . x <= c_i}.
 
     Boundedness is validated at construction with linear programs in all
-    +-coordinate directions, unless require_bounded=False (used for
+    +-coordinate directions, and one more finds the Chebyshev centre
+    (inradius and interior point), unless require_bounded=False (used for
     half-space members of a bounded intersection, where faces and exact
     areas are never requested directly).
+
+    The face tables take no linear program.  qhull enumerates the vertices
+    once, from the Chebyshev centre; a face's vertices are those within
+    the vertex tolerance of its hyperplane (see _VERTEX_TOL), and a
+    constraint bounds a face when no other holds a strict superset of its
+    vertices.  Its chart box is the range of their chart coordinates, and
+    its area the divergence identity run on vertex sets (_vertex_volume).
     """
 
     def __init__(self, half_spaces, require_bounded: bool = True):
@@ -642,20 +701,36 @@ class Polytope(ConvexBody):
                              "are not available")
         lo, hi = self._bbox
         scale = max(1.0, float(np.linalg.norm(hi - lo)))
+        halves = np.hstack([self.A, -self.c[:, None]])
+        try:
+            vertices = HalfspaceIntersection(halves, self._center).intersections
+        except QhullError as exc:
+            raise ValueError("qhull could not enumerate the polytope's "
+                             "vertices (too thin?)") from exc
+        size = float(np.abs(vertices).max())
+        tol = _VERTEX_TOL * scale + _VERTEX_ROUNDING * size
+        on = np.abs(vertices @ self.A.T - self.c) <= tol
+        ids = np.arange(len(vertices))
+        memo: dict = {}
         out = []
-        for i in range(len(self.c)):
+        for i, sel, _key in _facets(on, ids, self.dimension, maximal=True):
             sub = _face_subsystem(self.A, self.c, i)
             if sub is None:
                 continue
-            Q, p, A2, c2 = sub
-            area = _hrep_volume(A2, c2, scale) if len(c2) else 0.0
-            if area <= 1e-12 * scale ** (self.dimension - 1):
+            Q, p, A2, c2, rows = sub
+            Y = (vertices[sel] - p) @ Q
+            area = _vertex_volume(A2, c2, Y, on[np.ix_(sel, rows)], ids[sel],
+                                  memo)
+            # a maximal vertex set spans its face, so no size threshold is
+            # needed: one drops the side faces of thin bodies the
+            # constructor accepts (a slab 2e-12 x scale thick)
+            if area <= 0.0:
                 continue
-            # center the chart on the face for a tight sampling box
-            chart_lo, chart_hi = _hrep_bbox(A2, c2)
-            out.append(_Face(index=i, normal=self.A[i], offset=self.c[i],
+            # the chart box of the face's vertices: a tight sampling box
+            out.append(_Face(index=int(i), normal=self.A[i], offset=self.c[i],
                              plane_point=p, basis=Q, sub_A=A2, sub_c=c2,
-                             chart_lo=chart_lo, chart_hi=chart_hi, area=area))
+                             chart_lo=Y.min(axis=0), chart_hi=Y.max(axis=0),
+                             area=area))
         if not out:
             raise ValueError("polytope has no positive-area faces")
         return out

@@ -99,6 +99,10 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
 
     Requires x deeper than the absorbing shell.  The per-walk results do
     not depend on the block size, so neither does the returned Estimate.
+    The walks are keyed by the seed and the bits of x, so a start that
+    moves by one ulp (say, a boundary sample from a face table that
+    changed in its last bit) draws fresh walks: its estimate moves by
+    about a standard error, not by an ulp.
     """
     x = np.asarray(x, dtype=float)
     if not cg.contains(body, x):

@@ -3,13 +3,14 @@
 Everything here is deliberately computed by a different route than the
 library code it checks: frozen 50-digit values for the normal CDF,
 Fourier series and five-point finite differences for the square torsion
-problem, ray casting for distances, scalar bisection and 50-digit Newton
-iteration for the exact ellipsoid distance, central differences for
-Laplacians, and radial or tensor quadrature for polynomial integrals over
-balls and boxes.  The library's earlier loops (the per-path crossing
-simulation, the per-slot draws and walk, the row-by-row box and polytope
+problem, ray casting for distances, 50-digit Newton iteration for the exact
+ellipsoid distance, central differences for Laplacians, and radial or
+tensor quadrature for polynomial integrals over balls and boxes.  The
+library's earlier loops (the per-path and unfloored block crossing
+simulations, the per-slot draws and walk, the row-by-row box and polytope
 reductions) are kept verbatim as references that the faster code must
-match bit for bit.
+match bit for bit, and its earlier polytope face tables by linear
+programs as the reference for the vertex-enumerated ones.
 """
 
 import math
@@ -152,6 +153,47 @@ def hitting_times_loop(law, count: int, dt: float, horizon: float,
     return np.array(times), censored
 
 
+def hitting_times_block(law, count: int, dt: float, horizon: float,
+                        seed: int) -> tuple[np.ndarray, int]:
+    """Reference for simulate_hitting_times: the library's block loop as
+    it was before it floored the bridge exponents, exp evaluated on every
+    lane.  Returns the crossing times and the censored count."""
+    from torsion_bound import rng
+    from torsion_bound.brownian_1d import _BLOCK_STEPS
+
+    eps = law.epsilon
+    nsteps = int(round(horizon / dt))
+    sqdt = math.sqrt(dt)
+    key = rng.derive(seed, 0xB10)
+    rows = min(count, max(1, _BLOCK_STEPS // nsteps))
+    # block arrays, reused: normals become positions, then gaps to the level
+    normals = np.empty((rows, nsteps))
+    unif = np.empty((rows, nsteps))
+    bridge = np.empty((rows, nsteps))
+    times = []
+    censored = 0
+    for first in range(0, count, rows):
+        m = min(rows, count - first)
+        gap, u, p = normals[:m], unif[:m], bridge[:m]
+        rng.path_draws(key, first, gap, u)
+        gap *= sqdt
+        np.cumsum(gap, axis=1, out=gap)
+        np.subtract(eps, gap, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        # p = exp(-2 a b / dt) with a the gap before the step, b after it
+        p[:, 0] = -2.0 * eps
+        np.multiply(gap[:, :-1], -2.0, out=p[:, 1:])
+        p *= gap
+        p /= dt
+        np.exp(p, out=p)
+        fire = u < p
+        k = np.argmax(fire, axis=1)
+        hit = fire[np.arange(m), k]
+        times.append((k[hit] + 1) * dt)
+        censored += m - int(np.count_nonzero(hit))
+    return np.concatenate(times), censored
+
+
 def ellipse_boundary_gradient_max(semi_axes, coefficient: float,
                                   n_grid: int = 200_000) -> float:
     """Dense parametric maximization of |grad u| over an ellipse boundary
@@ -166,7 +208,7 @@ def ellipse_boundary_gradient_max(semi_axes, coefficient: float,
 
 # ---------------------------------------------------------------------------
 # Closed-form integrals of polynomial test functions over balls and boxes,
-# and the exact ellipsoid distance by scalar bisection and Newton iteration.
+# and the exact ellipsoid distance by Newton iteration.
 
 
 def as_polynomial(fn, n: int) -> dict | None:
@@ -260,43 +302,6 @@ def exact_volume_integral(body, fn) -> float:
     raise ValueError("exact integration supports balls and boxes only")
 
 
-def ellipsoid_exact_distance(body, x) -> float:
-    """Distance from an interior point to the ellipsoid boundary, by
-    bisection on the nearest-point parameter t in (-b_min^2, 0]:
-    the nearest boundary point is z_i = b_i^2 y_i / (b_i^2 + t) with
-    sum (b_i y_i / (b_i^2 + t))^2 = 1 (y = x - center).
-
-    Falls back to the certified lower bound in the degenerate case where
-    the query has no component along any shortest axis.
-    """
-    y = np.asarray(x, dtype=float) - body.center
-    b2 = body.semi_axes**2
-    q = float(np.sum((y / body.semi_axes) ** 2))
-    if q > 1.0:
-        raise ValueError("point lies outside the ellipsoid")
-    lower = float(body.semi_axes.min()) * (1.0 - math.sqrt(q))
-
-    def f(t):
-        return float(np.sum((body.semi_axes * y / (b2 + t)) ** 2)) - 1.0
-
-    lo = -float(b2.min())
-    lo_probe = lo * (1.0 - 1e-13) + 0.0
-    if f(lo_probe) < 0.0:  # degenerate: nearest point leaves the axis span
-        return lower
-    hi = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo_probe + hi)
-        if f(mid) > 0.0:
-            lo_probe = mid
-        else:
-            hi = mid
-        if hi - lo_probe < 1e-16 * float(b2.max()):
-            break
-    t = 0.5 * (lo_probe + hi)
-    d = math.sqrt(float(np.sum((y * t / (b2 + t)) ** 2)))
-    return max(d, lower)
-
-
 def ellipsoid_distance_mp(body, x, dps: int = 50) -> float:
     """Distance from an interior point x (as stored, a float vector) to the
     ellipsoid boundary in ``dps``-digit arithmetic.
@@ -305,8 +310,8 @@ def ellipsoid_distance_mp(body, x, dps: int = 50) -> float:
     t))^2 - 1 = 0 on (-b_min^2, 0].  f falls and is convex there, so Newton
     steps from a start with f >= 0 rise monotonically to the root; the
     start t0 = b_min |y_S| - b_min^2 (y_S: the components along the
-    shortest axes) has f(t0) >= 0.  Unlike the bisection above, the result
-    carries no bracket-width error, so it resolves distances near 1e-9.
+    shortest axes) has f(t0) >= 0.  The result carries no bracket-width
+    error, so it resolves distances near 1e-9.
     """
     import mpmath
 
@@ -470,3 +475,71 @@ def contains_rows(body, points: np.ndarray) -> np.ndarray:
         return np.all([contains_rows(m, points) for m in body.members],
                       axis=0)
     return body.contains_many(points)
+
+
+# ---------------------------------------------------------------------------
+# Polytope face tables by linear programs, as the library built them before
+# it enumerated vertices: every face volume by the recursive divergence
+# identity about a Chebyshev centre, every chart box by 2(d-1) LPs.
+
+
+def _hrep_volume(A: np.ndarray, c: np.ndarray, scale: float) -> float:
+    """Exact volume of a bounded {A x <= c} by the recursive divergence
+    identity vol = (1/d) sum_i (c_i - a_i . x0) |face_i|."""
+    from torsion_bound import convex_geometry as cg
+
+    d = A.shape[1]
+    if d == 1:
+        lo, hi = -math.inf, math.inf
+        for a, ci in zip(A[:, 0], c):
+            if a > cg._TOL:
+                hi = min(hi, ci / a)
+            elif a < -cg._TOL:
+                lo = max(lo, ci / a)
+            elif ci < -1e-9 * scale:
+                return 0.0
+        return max(0.0, hi - lo)
+    center, radius = cg._chebyshev_center(A, c)
+    if center is None or radius <= 1e-12 * scale:
+        return 0.0
+    total = 0.0
+    for i in range(len(c)):
+        fv = _hrep_face_volume(A, c, i, scale)
+        if fv > 0.0:
+            total += (c[i] - A[i] @ center) * fv
+    return total / d
+
+
+def _hrep_face_volume(A, c, i, scale) -> float:
+    from torsion_bound import convex_geometry as cg
+
+    sub = cg._face_subsystem(A, c, i)
+    if sub is None:
+        return 0.0
+    _, _, A2, c2, _ = sub
+    if len(c2) == 0:
+        return 0.0
+    return _hrep_volume(A2, c2, scale)
+
+
+def lp_face_table(poly) -> list[tuple[int, np.ndarray, np.ndarray, float]]:
+    """(index, chart_lo, chart_hi, area) of every face that
+    ``poly.faces`` should list, by linear programs."""
+    from torsion_bound import convex_geometry as cg
+
+    lo, hi = poly.bounding_box()
+    scale = max(1.0, float(np.linalg.norm(hi - lo)))
+    out = []
+    for i in range(len(poly.c)):
+        sub = cg._face_subsystem(poly.A, poly.c, i)
+        if sub is None:
+            continue
+        _, _, A2, c2, _ = sub
+        area = _hrep_volume(A2, c2, scale) if len(c2) else 0.0
+        if area <= 1e-12 * scale ** (poly.dimension - 1):
+            continue
+        if isinstance(poly, cg._ClippedPolytope) and i >= poly._n_original:
+            continue
+        chart_lo, chart_hi = cg._hrep_bbox(A2, c2)
+        out.append((i, chart_lo, chart_hi, area))
+    return out

@@ -202,6 +202,40 @@ class TestSimulation:
             monkeypatch.undo()
         assert hits > 0
 
+    def test_zero_draws_match_the_unfloored_block(self, monkeypatch):
+        # a uniform of exactly 0 fires wherever exp(-2 a b / dt) > 0, so
+        # the floored exponents must not decide those lanes; path indices
+        # pick the zeroed lanes, so every block layout zeroes the same ones
+        law = b1.HittingTimeLaw(1.0)
+        dt, count = 1e-3, 300
+        draws = rng.path_draws
+        exponents = []
+
+        def zeroed(key, first, normals, unif):
+            draws(key, first, normals, unif)
+            rows, steps = np.indices(unif.shape)
+            mask = (rows + first + steps) % 61 == 0
+            unif[mask] = 0.0
+            gap = np.maximum(1.0 - np.cumsum(normals * math.sqrt(dt), axis=1),
+                             0.0)
+            before = np.hstack([np.ones((len(gap), 1)), gap[:, :-1]])
+            exponents.append((before * -2.0 * gap / dt)[mask])
+
+        monkeypatch.setattr(rng, "path_draws", zeroed)
+        times, censored = oracles.hitting_times_block(law, count, dt, 1.0,
+                                                      seed=43)
+        for budget in (b1._BLOCK_STEPS, 1000, 7 * 1000):
+            monkeypatch.setattr(b1, "_BLOCK_STEPS", budget)
+            sample = b1.simulate_hitting_times(law, count, dt, 1.0, seed=43)
+            assert np.array_equal(sample.times, times)
+            assert sample.censored == censored
+        x = np.concatenate(exponents)
+        assert np.any(np.exp(x) == 0.0)  # underflows: never fires
+        assert np.any((np.exp(x) > 0.0) & (x < b1._EXP_FLOOR))  # fires
+        monkeypatch.undo()
+        plain = b1.simulate_hitting_times(law, count, dt, 1.0, seed=43)
+        assert not np.array_equal(plain.times, times)
+
     def test_deterministic(self):
         law = b1.HittingTimeLaw(1.0)
         a = b1.simulate_hitting_times(law, 50, 1e-3, 0.5, seed=3)

@@ -1,5 +1,6 @@
 """Geometry oracles: membership, distances, volumes, areas, sampling."""
 
+import itertools
 import json
 import math
 
@@ -80,7 +81,7 @@ class TestDistance:
             if not cg.contains(e, p):
                 continue
             lb = cg.distance_to_boundary(e, p)
-            exact = oracles.ellipsoid_exact_distance(e, p)
+            exact = oracles.ellipsoid_distance_mp(e, p)
             oracle = oracles.ray_distance(e, p, n_dirs=8192)
             assert lb <= exact + 1e-12
             assert exact == pytest.approx(oracle, abs=2e-4)
@@ -295,6 +296,304 @@ class TestSurfaceArea:
         exact = 8.0 * ellipe(0.5)
         est = cg.surface_area(cg.Ellipsoid([0, 0], [2.0, math.sqrt(2.0)]), CFG)
         assert abs(est.mean - exact) <= 3.0 * est.stderr
+
+
+def square_pyramid():
+    """Base [-1, 1]^2 x {0}, apex (0, 0, 1): the apex lies on 4 facets."""
+    r = 1.0 / math.sqrt(2.0)
+    sides = [(np.array([sx * r, sy * r, r]), r)
+             for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    return cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.0)] + sides)
+
+
+def cube_with_redundant_constraints():
+    """[0, 1]^3 plus x + y <= 2 (meets the cube only along an edge) and
+    z <= 5 (meets it nowhere)."""
+    halves = [(sign * np.eye(3)[k], 1.0 if sign > 0 else 0.0)
+              for k in range(3) for sign in (-1.0, 1.0)]
+    halves.append((np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), math.sqrt(2.0)))
+    halves.append((np.eye(3)[2], 5.0))
+    return cg.Polytope(halves)
+
+
+def cube_with_cut(n):
+    """[0, 1]^n plus x1 + x2 <= 2, which meets the cube only along the
+    (n-2)-face x1 = x2 = 1: that face has 2^(n-2) >= n vertices for
+    n >= 4."""
+    halves = [(sign * np.eye(n)[k], 1.0 if sign > 0 else 0.0)
+              for k in range(n) for sign in (-1.0, 1.0)]
+    a = np.zeros(n)
+    a[:2] = 1.0 / math.sqrt(2.0)
+    return cg.Polytope(halves + [(a, math.sqrt(2.0))])
+
+
+def cross_polytope(n):
+    """{x : sum |x_i| <= 1}: every vertex lies on 2^(n-1) facets."""
+    return cg.Polytope([(np.array(signs) / math.sqrt(n), 1.0 / math.sqrt(n))
+                        for signs in itertools.product((-1.0, 1.0), repeat=n)])
+
+
+def translated(poly, shift):
+    return cg.Polytope([(a, ci + a @ shift) for a, ci in zip(poly.A, poly.c)])
+
+
+def rotated_box(thickness):
+    """A 1 x 1 x thickness box in a fixed random orientation."""
+    rot = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    halves = []
+    for k, width in enumerate((1.0, 1.0, thickness)):
+        halves += [(-rot[:, k], 0.0), (rot[:, k], width)]
+    return cg.Polytope(halves)
+
+
+def square_with_cut_corner(depth=1e-9):
+    """[0, 1]^2 cut by x + y <= 2 - depth: the cut is an edge of length
+    sqrt(2) depth, and its ends lie depth from the unit sides."""
+    halves = [(sign * np.eye(2)[k], 1.0 if sign > 0 else 0.0)
+              for k in range(2) for sign in (-1.0, 1.0)]
+    r = 1.0 / math.sqrt(2.0)
+    return cg.Polytope(halves + [(np.array([r, r]), (2.0 - depth) * r)])
+
+
+def clipped_members(n):
+    samplers = presets.half_ball(n)._mixture[0]
+    return [s for s in samplers if isinstance(s, cg._ClippedPolytope)]
+
+
+def hull(poly):
+    """scipy's convex hull of the polytope's vertices."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    halves = np.hstack([poly.A, -poly.c[:, None]])
+    return ConvexHull(HalfspaceIntersection(halves, poly.interior_point())
+                      .intersections)
+
+
+def scale_of(poly):
+    lo, hi = poly.bounding_box()
+    return max(1.0, float(np.linalg.norm(hi - lo)))
+
+
+class TestFaceTables:
+    """Polytope face tables from the vertices against the linear-program
+    reference (oracles.lp_face_table) and scipy's hull volume."""
+
+    @staticmethod
+    def assert_matches_lp(poly):
+        ref = oracles.lp_face_table(poly)
+        assert [f.index for f in poly.faces] == [i for i, *_ in ref]
+        tol = 1e-13 * scale_of(poly)
+        for face, (_i, chart_lo, chart_hi, area) in zip(poly.faces, ref):
+            assert abs(face.area - area) <= 1e-13 * area
+            assert np.all(np.abs(face.chart_lo - chart_lo) <= tol)
+            assert np.all(np.abs(face.chart_hi - chart_hi) <= tol)
+
+    @staticmethod
+    def assert_matches_hull(poly, h=None):
+        h = hull(poly) if h is None else h
+        assert abs(poly.volume_exact() - h.volume) <= 1e-12 * h.volume
+        assert abs(poly.surface_area_exact() - h.area) <= 1e-12 * h.area
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(square_pyramid, id="square-pyramid"),
+        pytest.param(lambda: presets.simplex(2), id="simplex-n2"),
+        pytest.param(lambda: presets.simplex(5), id="simplex-n5"),
+        pytest.param(lambda: presets.body_preset("random-polytope-n3"),
+                     id="random-polytope-n3"),
+        pytest.param(lambda: presets.random_polytope(4, 14, 2),
+                     id="random-polytope-n4-14"),
+        pytest.param(lambda: presets.random_polytope(4, 40, 1),
+                     id="random-polytope-n4-40"),
+    ])
+    def test_equal_to_lp_reference_and_hull(self, body):
+        poly = body()
+        self.assert_matches_lp(poly)
+        self.assert_matches_hull(poly)
+
+    def test_square_pyramid_closed_forms(self):
+        poly = square_pyramid()
+        assert len(poly.faces) == 5
+        assert poly.volume_exact() == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert poly.surface_area_exact() == pytest.approx(
+            4.0 + 4.0 * math.sqrt(2.0), rel=1e-14)
+
+    def test_redundant_constraints_have_no_face(self):
+        # the linear programs measured the faces x = 1 and y = 1 at 1.25:
+        # inside each, x + y <= 2 and the other unit constraint bound the
+        # same edge, which they counted twice
+        poly = cube_with_redundant_constraints()
+        assert [f.index for f in poly.faces] == list(range(6))
+        assert [f.area for f in poly.faces] == pytest.approx([1.0] * 6,
+                                                             rel=1e-14)
+        self.assert_matches_hull(poly)
+        # a constraint given twice bounds one face
+        twice = cg.Polytope(list(zip(poly.A[:6], poly.c[:6]))
+                            + [(poly.A[1], poly.c[1])])
+        assert [f.index for f in twice.faces] == list(range(6))
+        self.assert_matches_hull(twice)
+
+    def test_corner_cut_1e_9_deep(self):
+        # the LPs put the end of x = 1 at y = 1: HiGHS stops within its
+        # feasibility tolerance (1e-7) of the cut y <= 1 - 1e-9
+        poly = square_with_cut_corner(1e-9)
+        ends = [(f.chart_lo[0], f.chart_hi[0]) for f in poly.faces]
+        assert [f.index for f in poly.faces] == list(range(5))
+        assert ends[1] == pytest.approx((0.0, 1.0 - 1e-9), rel=1e-15, abs=0.0)
+        assert ends[3] == pytest.approx((-1.0 + 1e-9, 0.0), rel=1e-15, abs=0.0)
+        areas = [1.0, 1.0 - 1e-9, 1.0, 1.0 - 1e-9, math.sqrt(2.0) * 1e-9]
+        assert [f.area for f in poly.faces] == pytest.approx(areas, rel=1e-6)
+        for face, area in zip(poly.faces[:4], areas):
+            assert abs(face.area - area) <= 1e-15
+        self.assert_matches_hull(poly)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_constraint_touching_a_lower_face(self, n):
+        # x1 + x2 <= 2 holds the vertices of an (n-2)-face, and inside it
+        # x3 >= 0 holds those of an (n-3)-face that is also a ridge of the
+        # cube: measured under one key, n = 5 listed a face of area 0.75
+        poly = cube_with_cut(n)
+        assert [f.index for f in poly.faces] == list(range(2 * n))
+        assert [f.area for f in poly.faces] == pytest.approx([1.0] * (2 * n),
+                                                             rel=1e-14)
+        self.assert_matches_hull(poly)
+        assert poly.volume_exact() == pytest.approx(1.0, rel=1e-14)
+
+    def test_lower_face_is_not_a_facet(self):
+        # the area of a lower face's vertex set is rounding noise of either
+        # sign: the facet list must not hang on that sign
+        from scipy.spatial import HalfspaceIntersection
+
+        poly = cube_with_cut(5)
+        vertices = HalfspaceIntersection(np.hstack([poly.A, -poly.c[:, None]]),
+                                         poly.interior_point()).intersections
+        on = np.abs(vertices @ poly.A.T - poly.c) <= 1e-12
+        ids = np.arange(len(vertices))
+        facets = [j for j, *_ in cg._facets(on, ids, 5, maximal=True)]
+        assert facets == list(range(10))
+        assert [j for j, *_ in cg._facets(on, ids, 5)] == list(range(11))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cross_polytope(self, n):
+        # the linear programs measured the 4-D facets at twice their area
+        poly = cross_polytope(n)
+        facet = math.sqrt(n) / math.factorial(n - 1)
+        assert [f.area for f in poly.faces] == pytest.approx(
+            [facet] * 2 ** n, rel=1e-14)
+        assert poly.volume_exact() == pytest.approx(
+            2.0 ** n / math.factorial(n), rel=1e-14)
+        self.assert_matches_hull(poly)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(lambda: presets.simplex(3), id="simplex-n3"),
+        pytest.param(lambda: presets.body_preset("random-polytope-n3"),
+                     id="random-polytope-n3"),
+    ])
+    def test_translated_far_from_the_origin(self, body):
+        # vertices 1e4 from the origin round at 1e4 x eps = 2e-12, more
+        # than 1e-13 x scale: the incidence test must allow for it
+        near = body()
+        shift = np.full(3, 1e4)
+        far = translated(near, shift)
+        rel = 1e-14 * 1e4  # eps x coordinates / scale, with room
+        tol = rel * scale_of(near)
+        assert [f.index for f in far.faces] == [f.index for f in near.faces]
+        for f, g in zip(far.faces, near.faces):
+            assert abs(f.area - g.area) <= rel * g.area
+            moved = shift @ f.basis
+            assert np.all(np.abs(f.chart_lo - g.chart_lo - moved) <= tol)
+            assert np.all(np.abs(f.chart_hi - g.chart_hi - moved) <= tol)
+        assert far.volume_exact() == pytest.approx(near.volume_exact(),
+                                                   rel=rel)
+        assert far.volume_exact() == pytest.approx(hull(far).volume, rel=rel)
+
+    def test_qhull_failure_is_a_value_error(self, monkeypatch):
+        from scipy.spatial import QhullError
+
+        def fail(*_args):
+            raise QhullError("QH6271 qhull precision error")
+        monkeypatch.setattr(cg, "HalfspaceIntersection", fail)
+        with pytest.raises(ValueError, match="qhull"):
+            presets.simplex(3).faces
+
+    @pytest.mark.parametrize("thickness", [1e-6, 1e-11, 2.1e-12])
+    def test_thin_rotated_box(self, thickness):
+        # qhull places vertices to about 1e-16 of the scale, so areas and
+        # volume lose digits as scale / thickness grows.  2.1e-12 is just
+        # above the constructor's limit (2e-12 is rejected); its side faces
+        # fell below the former size threshold of 1e-12 x scale^2
+        poly = rotated_box(thickness)
+        areas = [thickness] * 4 + [1.0, 1.0]
+        rel = 1e-14 / thickness
+        assert [f.index for f in poly.faces] == list(range(6))
+        assert [f.area for f in poly.faces] == pytest.approx(areas, rel=rel)
+        assert poly.volume_exact() == pytest.approx(thickness, rel=rel)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_clipped_half_ball_members(self, n):
+        # the box face below the kept face lies 1e-9 scale beyond it
+        (member,) = clipped_members(n)
+        self.assert_matches_lp(member)
+        (face,) = member.faces
+        assert face.index == 0
+        pad = 1e-9 * scale_of(presets.half_ball(n))
+        assert face.area == pytest.approx((2.0 + 2.0 * pad) ** (n - 1),
+                                          rel=1e-14)
+
+    def test_thin_box_limit(self):
+        with pytest.raises(ValueError, match="empty interior"):
+            rotated_box(2e-12)
+
+    def test_six_dimensions_sixty_faces(self):
+        from scipy.spatial import ConvexHull
+
+        poly = presets.random_polytope(6, 60, 1)
+        h = hull(poly)
+        self.assert_matches_hull(poly, h)
+        tol = 1e-13 * scale_of(poly)
+        for face in poly.faces:
+            # the face's own hull in its chart, and its chart box by LPs
+            level = h.points @ face.normal - face.offset
+            chart = (h.points[np.abs(level) <= 1e-9] - face.plane_point) \
+                @ face.basis
+            assert abs(face.area - ConvexHull(chart).volume) <= 1e-12 * face.area
+            lo, hi = cg._hrep_bbox(face.sub_A, face.sub_c)
+            assert np.all(np.abs(face.chart_lo - lo) <= tol)
+            assert np.all(np.abs(face.chart_hi - hi) <= tol)
+
+    def test_tables_call_no_linear_programs(self, monkeypatch):
+        # only a constructor solves LPs: 2n for the bounding box (which
+        # validates boundedness) and one for the Chebyshev centre
+        linprog, init = cg.linprog, cg.Polytope.__init__
+        calls = {"constructor": 0, "elsewhere": 0}
+        building = []
+
+        def counted(*args, **kwargs):
+            calls["constructor" if building else "elsewhere"] += 1
+            return linprog(*args, **kwargs)
+
+        def constructor(self, *args, **kwargs):
+            before = calls["constructor"]
+            building.append(self)
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                building.pop()
+            assert calls["constructor"] - before <= 2 * self.dimension + 1
+
+        monkeypatch.setattr(cg, "linprog", counted)
+        monkeypatch.setattr(cg.Polytope, "__init__", constructor)
+        bodies = [presets.simplex(4), presets.body_preset("random-polytope-n3"),
+                  presets.half_ball(3)]
+        built = dict(calls)
+        for body in bodies:
+            members = body._mixture[0] if isinstance(body, cg.Intersection) \
+                else [body]
+            for member in members:
+                if isinstance(member, cg.Polytope):
+                    member.faces, member._face_cum
+        assert calls["elsewhere"] == built["elsewhere"]
+        # filling the tables built the clipped half-space member only
+        assert calls["constructor"] - built["constructor"] == 2 * 3 + 1
 
 
 def boundary_key(seed):
