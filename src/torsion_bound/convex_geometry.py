@@ -123,13 +123,33 @@ class ConvexBody:
     # -- boundary sampling ---------------------------------------------------
 
     def _boundary_batch(self, key: int, ids: np.ndarray):
-        """One boundary candidate per id: (positions, normals, weights, ok).
+        """One boundary candidate per id: (positions, inward normals,
+        weights, ok), with E[weight * ok * g(position)] the integral of g
+        over the boundary for every g.
 
-        ok marks candidates that actually lie on this body's boundary
-        (always true except for intersections, which reject member-boundary
-        points falling outside the other members).
+        ok marks candidates that lie on this body's boundary.  Here the
+        candidates are a mixture of the strata: id i takes stratum k with
+        probability frac_k = weight_k / sum(weights) (slot 0 of stream
+        (key, 7001)) and draws that stratum's candidate on stream
+        (key, 7100 + k); its weight is the candidate's own weight over
+        frac_k.  Balls and ellipsoids, which have no strata, override it.
         """
-        raise NotImplementedError
+        _tag, weights = self._strata()
+        fracs = weights / weights.sum()
+        u = rng.uniforms(rng.derive(key, 7001), ids, 0, 1)[:, 0]
+        pick = np.minimum(np.searchsorted(np.cumsum(fracs), u, side="right"),
+                          len(fracs) - 1)
+        pos = np.empty((len(ids), self.dimension))
+        nrm = np.empty((len(ids), self.dimension))
+        wgt = np.empty(len(ids))
+        ok = np.empty(len(ids), dtype=bool)
+        for k in range(len(fracs)):
+            sel = np.flatnonzero(pick == k)
+            if sel.size:
+                draw = self._stratum(k, rng.derive(key, 7100 + k))
+                pos[sel], nrm[sel], w, ok[sel] = draw(ids[sel])
+                wgt[sel] = w / fracs[k]
+        return pos, nrm, wgt, ok
 
     def boundary_arrays(self, count: int, key: int):
         """Exactly ``count`` accepted boundary samples (pos, normal, weight),
@@ -144,9 +164,14 @@ class ConvexBody:
 
     def _strata(self) -> tuple[int, np.ndarray] | None:
         """(stream tag, weights) of the body's boundary strata, or None
-        when it has none.  A body with strata defines ``_stratum(index,
-        key)``: the ``_keyed_rejection`` draw of one stratum, ids ->
-        (positions, inward normals, weights, ok) as in ``_boundary_batch``."""
+        when it has none.  The weights set each stratum's share of both
+        samplers: a face's area, or an intersection member's boundary area
+        (clipped to the bounding box).  A body with strata defines
+        ``_stratum(index, key)``: the candidate draw of one stratum, ids ->
+        (positions, inward normals, weights, ok) with
+        E[weight * ok * g(position)] the integral of g over that stratum.
+        ``_boundary_batch`` mixes these draws, and ``stratified_boundary``
+        runs each through ``_keyed_rejection``."""
         return None
 
     def stratified_boundary(self, count: int, key: int):
@@ -412,7 +437,7 @@ class Box(ConvexBody):
 
     @cached_property
     def _face_table(self):
-        """(axis, side, area, inward normal) per face, plus cumulative areas."""
+        """(axis, side, area, inward normal) per face."""
         ext = self.upper - self.lower
         vol = float(np.prod(ext))
         faces = []
@@ -421,45 +446,24 @@ class Box(ConvexBody):
                 nrm = np.zeros(self.dimension)
                 nrm[k] = 1.0 if side == 0 else -1.0
                 faces.append((k, side, vol / ext[k], nrm))
-        areas = np.array([f[2] for f in faces])
-        return faces, np.cumsum(areas), float(areas.sum())
-
-    def _face_points(self, fi: int, u: np.ndarray):
-        """(positions, inward normals) on face ``fi`` from uniforms ``u``
-        whose slots 1..n-1 place the point on the face."""
-        k, side, _area, normal = self._face_table[0][fi]
-        other = [j for j in range(self.dimension) if j != k]
-        pos = np.empty((len(u), self.dimension))
-        pos[:, other] = self.lower[other] + u[:, 1:] \
-            * (self.upper[other] - self.lower[other])
-        pos[:, k] = self.lower[k] if side == 0 else self.upper[k]
-        return pos, np.tile(normal, (len(u), 1))
-
-    def _boundary_batch(self, key, ids):
-        faces, cum, total = self._face_table
-        n = self.dimension
-        u = rng.uniforms(key, ids, 0, n)  # slot 0: face; slots 1..n-1: coords
-        face_idx = np.searchsorted(cum, u[:, 0] * total, side="right")
-        face_idx = np.minimum(face_idx, len(faces) - 1)
-        pos = np.empty((len(ids), n))
-        nrm = np.empty((len(ids), n))
-        for fi in range(len(faces)):
-            sel = np.nonzero(face_idx == fi)[0]
-            if sel.size:
-                pos[sel], nrm[sel] = self._face_points(fi, u.take(sel, axis=0))
-        wgt = np.full(len(ids), total)
-        return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
+        return faces
 
     def _strata(self):
-        return 31, np.array([f[2] for f in self._face_table[0]])
+        return 31, np.array([f[2] for f in self._face_table])
 
     def _stratum(self, index, key):
-        total = self._face_table[2]
+        k, side, area, normal = self._face_table[index]
+        other = [j for j in range(self.dimension) if j != k]
 
         def draw(ids):
+            # slots 1..n-1 place the point on the face
             u = rng.uniforms(key, ids, 0, self.dimension)
-            pos, nrm = self._face_points(index, u)
-            return pos, nrm, np.full(len(ids), total), np.ones(len(ids), dtype=bool)
+            pos = np.empty((len(ids), self.dimension))
+            pos[:, other] = self.lower[other] + u[:, 1:] \
+                * (self.upper[other] - self.lower[other])
+            pos[:, k] = self.lower[k] if side == 0 else self.upper[k]
+            return (pos, np.tile(normal, (len(ids), 1)), np.full(len(ids), area),
+                    np.ones(len(ids), dtype=bool))
         return draw
 
     def shape_json(self):
@@ -753,50 +757,21 @@ class Polytope(ConvexBody):
         areas = np.array([f.area for f in self.faces])
         return np.cumsum(areas), float(areas.sum())
 
-    def _boundary_batch(self, key, ids):
-        cum, total = self._face_cum
-        n = self.dimension
-        faces = self.faces
-        sel_u = rng.uniforms(key, ids, 0, 1)[:, 0]
-        face_idx = np.minimum(np.searchsorted(cum, sel_u * total, side="right"),
-                              len(faces) - 1)
-        pos = np.empty((len(ids), n))
-        nrm = np.empty((len(ids), n))
-        for fi, face in enumerate(faces):
-            sel_idx = np.nonzero(face_idx == fi)[0]
-            if sel_idx.size == 0:
-                continue
-            span = face.chart_hi - face.chart_lo
-            coords = np.empty((sel_idx.size, n - 1))
-            todo = np.arange(sel_idx.size)  # rows still outside the face
-            for round_ in range(1, 10_001):
-                if todo.size == 0:
-                    break
-                u = rng.uniforms(key, ids[sel_idx[todo]], round_, n - 1)
-                y = face.chart_lo + u * span
-                good = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
-                coords[todo[good]] = y.compress(good, axis=0)
-                todo = todo[~good]
-            else:
-                raise SamplingStarved("face sampling starved; degenerate face?")
-            pos[sel_idx] = face.to_space(coords)
-            nrm[sel_idx] = -face.normal
-        wgt = np.full(len(ids), total)
-        return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
-
     def _strata(self):
         return 37, np.array([f.area for f in self.faces])
 
     def _stratum(self, index, key):
+        # uniform in the face's chart box, accepted inside the face: the
+        # box volume is each candidate's weight
         face = self.faces[index]
         span = face.chart_hi - face.chart_lo
-        total = self._face_cum[1]
+        box = float(np.prod(span))
 
         def draw(ids):
             y = face.chart_lo + rng.uniforms(key, ids, 0, self.dimension - 1) * span
             ok = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
             return (face.to_space(y), np.tile(-face.normal, (len(ids), 1)),
-                    np.full(len(ids), total), ok)
+                    np.full(len(ids), box), ok)
         return draw
 
     def shape_json(self):
@@ -890,7 +865,7 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _mixture(self):
-        """Per-member clipped boundary samplers and mixture areas."""
+        """Per-member clipped boundary samplers and their boundary areas."""
         lo, hi = self._bbox
         pad = 1e-9 * max(1.0, float(np.linalg.norm(hi - lo)))
         samplers = []
@@ -906,26 +881,7 @@ class Intersection(ConvexBody):
                 if exact is None:
                     exact = _pilot_area(m)
                 areas.append(exact)
-        areas = np.array(areas, dtype=float)
-        return samplers, areas / areas.sum(), float(areas.sum())
-
-    def _boundary_batch(self, key, ids):
-        samplers, fracs, _total = self._mixture
-        n = self.dimension
-        u = rng.uniforms(rng.derive(key, 7001), ids, 0, 1)[:, 0]
-        member_idx = np.minimum(np.searchsorted(np.cumsum(fracs), u, side="right"),
-                                len(samplers) - 1)
-        pos = np.empty((len(ids), n))
-        nrm = np.empty((len(ids), n))
-        wgt = np.empty(len(ids))
-        ok = np.empty(len(ids), dtype=bool)
-        for k in range(len(samplers)):
-            sel = np.flatnonzero(member_idx == k)
-            if sel.size:
-                draw = self._stratum(k, rng.derive(key, 7100 + k))
-                pos[sel], nrm[sel], w, ok[sel] = draw(ids[sel])
-                wgt[sel] = w / fracs[k]
-        return pos, nrm, wgt, ok
+        return samplers, np.array(areas, dtype=float)
 
     def _strata(self):
         return 41, self._mixture[1]

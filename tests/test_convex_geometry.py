@@ -648,6 +648,38 @@ class TestBoundarySampling:
         with pytest.raises(ValueError):
             cg.Ball([0, 0], 1.0).boundary_arrays(0, boundary_key(1))
 
+    AREAS = {"unit-box-n3": 6.0,
+             "simplex-n3": 1.5 + math.sqrt(3.0) / 2.0,
+             "simplex-n4": 4.0 / 6.0 + 2.0 / 6.0,
+             "random-polytope-n3": None,  # scipy's hull area
+             "half-disk": 2.0 + math.pi,
+             "half-ball-n3": 3.0 * math.pi}
+
+    @pytest.mark.parametrize("name", list(AREAS))
+    def test_weights_integrate_the_surface_area(self, name):
+        # E[weight * ok] over the candidates is the boundary measure; a
+        # polytope face candidate weighs its chart box, of which the face
+        # fills only a part
+        body = presets.body_preset(name)
+        area = self.AREAS[name] or hull(body).area
+        _pos, _nrm, wgt, ok = body._boundary_batch(
+            41, np.arange(200_000, dtype=np.uint64))
+        vals = wgt * ok
+        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+        # a box's weights are all equal, so its stderr is rounding noise
+        assert abs(float(np.mean(vals)) - area) <= 4.0 * se + 1e-12 * area
+
+    def test_one_whole_boundary_sampler(self):
+        # boxes, polytopes and intersections draw their whole boundary as
+        # the mixture of their strata; only bodies without strata have
+        # their own sampler
+        bodies = [cls for cls in vars(cg).values()
+                  if isinstance(cls, type) and issubclass(cls, cg.ConvexBody)]
+        own = {cls for cls in bodies if "_boundary_batch" in vars(cls)}
+        assert own == {cg.ConvexBody, cg.Ball, cg.Ellipsoid}
+        assert {cls for cls in bodies if "_strata" in vars(cls)} \
+            == {cg.ConvexBody, cg.Box, cg.Polytope, cg.Intersection}
+
     @pytest.mark.parametrize("name", ["unit-ball-n3", "unit-box-n3",
                                       "beck-ellipsoid-n3", "random-polytope-n3",
                                       "simplex-n3", "half-disk"])
