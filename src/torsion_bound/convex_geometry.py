@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize
 from scipy.spatial import HalfspaceIntersection, QhullError
 
@@ -510,17 +509,13 @@ def _hrep_bbox(A, c):
     return lo, hi
 
 
-def _face_subsystem(A, c, i, Q=None):
-    """Constraints of face i expressed in an orthonormal chart Q of its
-    hyperplane (by default scipy's null space of a_i): returns (basis Q,
-    plane point p, A', c', rows), where rows are the indices of A's
-    constraints kept in A', or None if the face is cut away entirely."""
+def _face_subsystem(A, c, i):
+    """Constraints of face i expressed in the orthonormal chart Q of its
+    hyperplane given by ``_complement(a_i)``: returns (basis Q, plane
+    point p, A', c', rows), where rows are the indices of A's constraints
+    kept in A', or None if the face is cut away entirely."""
     a = A[i]
-    if Q is None:
-        # the sampled faces keep this chart: the Householder chart of
-        # _complement maps the same draws to other points, so every
-        # polytope's boundary samples would change
-        Q = null_space(a[None, :])  # (d, d-1), orthonormal
+    Q = _complement(a)
     p = c[i] * a
     rows = np.flatnonzero(np.arange(len(c)) != i)
     A2 = A[rows] @ Q
@@ -592,7 +587,7 @@ def _vertex_volume(A, c, Y, on, ids, memo) -> float:
     total = 0.0
     for j, sel, key in _facets(on, ids, d):
         if key not in memo:
-            sub = _face_subsystem(A, c, j, _complement(A[j]))
+            sub = _face_subsystem(A, c, j)
             memo[key] = 0.0 if sub is None else _vertex_volume(
                 sub[2], sub[3], (Y[sel] - sub[1]) @ sub[0],
                 on[np.ix_(sel, sub[4])], ids[sel], memo)

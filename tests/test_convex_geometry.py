@@ -436,10 +436,13 @@ class TestFaceTables:
         # the LPs put the end of x = 1 at y = 1: HiGHS stops within its
         # feasibility tolerance (1e-7) of the cut y <= 1 - 1e-9
         poly = square_with_cut_corner(1e-9)
-        ends = [(f.chart_lo[0], f.chart_hi[0]) for f in poly.faces]
+        ends = [f.to_space(np.vstack((f.chart_lo, f.chart_hi)))
+                for f in poly.faces]
         assert [f.index for f in poly.faces] == list(range(5))
-        assert ends[1] == pytest.approx((0.0, 1.0 - 1e-9), rel=1e-15, abs=0.0)
-        assert ends[3] == pytest.approx((-1.0 + 1e-9, 0.0), rel=1e-15, abs=0.0)
+        assert ends[1] == pytest.approx(np.array([[1.0, 0.0], [1.0, 1.0 - 1e-9]]),
+                                        rel=1e-15, abs=0.0)
+        assert ends[3] == pytest.approx(np.array([[0.0, 1.0], [1.0 - 1e-9, 1.0]]),
+                                        rel=1e-15, abs=0.0)
         areas = [1.0, 1.0 - 1e-9, 1.0, 1.0 - 1e-9, math.sqrt(2.0) * 1e-9]
         assert [f.area for f in poly.faces] == pytest.approx(areas, rel=1e-6)
         for face, area in zip(poly.faces[:4], areas):
@@ -538,6 +541,26 @@ class TestFaceTables:
         pad = 1e-9 * scale_of(presets.half_ball(n))
         assert face.area == pytest.approx((2.0 + 2.0 * pad) ** (n - 1),
                                           rel=1e-14)
+
+    def test_complement_is_an_orthonormal_chart(self):
+        # every face chart: orthonormal columns orthogonal to the normal
+        gen = np.random.default_rng(8)
+        tol = 4.0 * np.finfo(float).eps
+        for n in range(2, 9):
+            tied = np.ones(n)
+            tied[1] = -1.0  # the largest |a_k| is tied, with either sign
+            units = [v / np.linalg.norm(v) for v in gen.normal(size=(50, n))]
+            for a in units + [tied / math.sqrt(n), np.ones(n) / math.sqrt(n)]:
+                Q = cg._complement(a)
+                assert Q.shape == (n, n - 1)
+                assert np.abs(Q.T @ Q - np.eye(n - 1)).max() <= tol
+                assert np.abs(a @ Q).max() <= tol
+            for k in range(n):
+                for sign in (1.0, -1.0):
+                    a = sign * np.eye(n)[k]
+                    Q = cg._complement(a)
+                    assert np.array_equal(Q.T @ Q, np.eye(n - 1))
+                    assert not (a @ Q).any()
 
     def test_thin_box_limit(self):
         with pytest.raises(ValueError, match="empty interior"):
