@@ -116,7 +116,8 @@ def uniforms(key: int, units: np.ndarray, counter: int, nslots: int) -> np.ndarr
     """Draws in (0, 1), shape ``(len(units), nslots)``.
 
     ``counter`` advances per use site (e.g. per rejection round);
-    ``nslots`` must stay below MAX_SLOTS.
+    ``nslots`` is at most MAX_SLOTS, so one counter's slots never reach
+    the next counter's.
     """
     return draw_uniforms(unit_keys(key, units), counter, nslots)
 

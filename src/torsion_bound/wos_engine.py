@@ -139,9 +139,16 @@ def normal_derivative(body: ConvexBody, bp: BoundaryPoint,
     """One-sided divided difference u(x + delta nu) / delta (u vanishes on
     the boundary), with delta = fd_delta * diameter.
 
-    The O(delta) bias is downward near smooth maxima, the lenient
-    direction for checking upper gradient bounds: it can hide a small
-    excess over the bound.  If the probe exits the body (corners), delta
+    On the boundary -lap u = 1 reads u_nu,nu = -1 + (n-1) H u_nu, with H
+    the mean curvature (1/R on a ball of radius R), so to first order
+
+        u(x + delta nu) / delta = u_nu - (delta/2) (1 - (n-1) H u_nu)
+                                  + O(delta^2).
+
+    That term is exactly delta/(2n) on balls and delta/2 on flat faces.
+    The bias is downward, the lenient direction for checking upper
+    gradient bounds (it can hide a small excess over the bound), only
+    where (n-1) H u_nu < 1.  If the probe exits the body (corners), delta
     shrinks geometrically up to 8 times before the point is rejected.
     """
     shell = cfg.shell_width * body.diameter

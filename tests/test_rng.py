@@ -92,6 +92,14 @@ class TestPerSlotReference:
         ids = np.arange(3000, dtype=np.uint64)[::3]
         assert np.array_equal(rng.uniforms(4, ids, 9, 5),
                               oracles.uniforms_per_slot(4, ids, 9, 5))
+        # all MAX_SLOTS slots are allowed, and they do not reach the next
+        # counter's: a unit's 2 x MAX_SLOTS draws are all distinct
+        full = rng.uniforms(4, ids, 9, rng.MAX_SLOTS)
+        assert np.array_equal(full, oracles.uniforms_per_slot(4, ids, 9,
+                                                              rng.MAX_SLOTS))
+        both = np.sort(np.hstack([full, rng.uniforms(4, ids, 10, rng.MAX_SLOTS)]),
+                       axis=1)
+        assert np.all(np.diff(both, axis=1) > 0.0)
         with pytest.raises(ValueError, match="MAX_SLOTS"):
             rng.uniforms(4, ids, 0, rng.MAX_SLOTS + 1)
 
