@@ -201,7 +201,8 @@ def cmd_gradient(args) -> int:
     rows = [_report_row(rep, cfg.seed), _report_row(rep_raw, cfg.seed)]
     ok = rep.passed and rep_raw.passed and not _any_degraded([est])
     header = _header(args, "gradient", cfg, body=body_name,
-                     boundary_samples=args.boundary_samples)
+                     boundary_samples=args.boundary_samples,
+                     rejected_probes=result.rejected)
     return _emit(args, header, rows, EXIT_PASS if ok else EXIT_VIOLATION)
 
 

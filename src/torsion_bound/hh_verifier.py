@@ -30,6 +30,7 @@ else):
     {"kind": "affine", "constant": c, "linear": [...]}
     {"kind": "quadratic", "center": [...], "constant": c, "linear": [...]}
     {"kind": "harmonic_polynomial", "terms": [{"powers": [..], "coeff": c}]}
+        (powers are integers from 0 to 64, and no two terms repeat them)
     {"kind": "shifted_norm", "anchor": [...]}
     {"kind": "positive_combination",
      "terms": [{"weight": w, "fn": {...}}, ...]}
@@ -56,6 +57,9 @@ _CERT_PROBES = 512
 
 BOUNDARY_TOL = 1e-9
 LAPLACIAN_TOL = 1e-9
+# Largest power of one coordinate in a polynomial term: _poly_eval forms
+# x^p by p - 1 multiplications, so an unbounded power is unbounded work.
+_MAX_POWER = 64
 
 
 class CertificateError(ValueError):
@@ -72,9 +76,35 @@ class CertificateError(ValueError):
 
 
 def _poly_eval(terms: dict, X: np.ndarray) -> np.ndarray:
+    """sum of coeff * prod_i x_i^p_i over the terms, at the rows of X.
+
+    Each column power a term uses is formed once per call by repeated
+    multiplication: x_i^1 is the column view X[:, i], x_i^p is
+    x_i^(p-1) * x_i, and x_i^0 is never formed, so x_i^2 is the correctly
+    rounded square.  Only the powers some term uses are kept.  A term's
+    monomial is the product of its nonzero factors in ascending column
+    order, times its coefficient; a term with all powers zero adds its
+    coefficient.  Terms are added in dict order.  X is only read."""
+    used: dict = defaultdict(set)  # column -> the nonzero powers terms use
+    for powers in terms:
+        for i, p in enumerate(powers):
+            if p:
+                used[i].add(p)
+    power = {}  # (column, p) -> x_i^p
+    for i, ps in used.items():
+        x = xp = X[:, i]
+        for p in range(1, max(ps) + 1):
+            if p > 1:
+                xp = xp * x
+            if p in ps:
+                power[i, p] = xp
     out = np.zeros(len(X))
     for powers, coeff in terms.items():
-        out += coeff * np.prod(X ** np.asarray(powers), axis=1)
+        mono = None
+        for i, p in enumerate(powers):
+            if p:
+                mono = power[i, p] if mono is None else mono * power[i, p]
+        out += coeff if mono is None else coeff * mono
     return out
 
 
@@ -154,7 +184,8 @@ class Quadratic(SubharmonicFn):
 
 
 class HarmonicPolynomial(SubharmonicFn):
-    """Polynomial given by a term dict; the Laplacian is computed
+    """Polynomial given by a term dict {powers tuple: coefficient}, each
+    power an integer from 0 to _MAX_POWER; the Laplacian is computed
     symbolically, so harmonicity (or subharmonicity) is checked exactly
     at the certificate probes."""
 
@@ -162,13 +193,14 @@ class HarmonicPolynomial(SubharmonicFn):
 
     def __init__(self, terms: dict, dimension: int):
         self.dimension = int(dimension)
-        self.terms = {tuple(int(p) for p in k): float(v)
-                      for k, v in terms.items()}
-        for powers in self.terms:
+        for powers in terms:
             if len(powers) != self.dimension:
                 raise ValueError("term powers must match the dimension")
-            if min(powers, default=0) < 0:
-                raise ValueError("term powers must be nonnegative")
+            if any(not 0 <= p <= _MAX_POWER or p != int(p) for p in powers):
+                raise ValueError(f"term powers must be integers from 0 to "
+                                 f"{_MAX_POWER}, got {list(powers)}")
+        self.terms = {tuple(int(p) for p in k): float(v)
+                      for k, v in terms.items()}
         self._laplacian_terms = _poly_laplacian(self.terms, self.dimension)
 
     def value(self, X):
@@ -261,9 +293,12 @@ def fn_from_json(doc, dimension: int) -> SubharmonicFn:
         terms = {}
         for t in cg.json_field(doc, "terms", what, "list"):
             t = cg.json_object(t, "polynomial term")
-            powers = cg.json_field(t, "powers", "polynomial term", "integers")
-            terms[tuple(powers)] = cg.json_field(t, "coeff", "polynomial term",
-                                                 "number")
+            powers = tuple(cg.json_field(t, "powers", "polynomial term",
+                                         "integers"))
+            if powers in terms:
+                raise ValueError(f"polynomial terms repeat powers {list(powers)}")
+            terms[powers] = cg.json_field(t, "coeff", "polynomial term",
+                                          "number")
         return HarmonicPolynomial(terms, dimension)
     if kind == "shifted_norm":
         return ShiftedNorm(_json_vector(doc, "anchor", what, dimension))

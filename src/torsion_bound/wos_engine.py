@@ -167,31 +167,35 @@ class MaxNormalDerivative:
     """Sampled maximum of the inward normal derivative: the largest of
     many noisy probe estimates, so it is biased upward as an estimate of
     the true boundary maximum, and ``estimate.stderr`` is that one probe's
-    stderr, which understates the spread of the maximum."""
+    stderr, which understates the spread of the maximum.  ``evaluations``
+    probes were estimated and ``rejected`` were skipped as corner-pinched;
+    together they are the boundary sample's size."""
 
     estimate: Estimate
     location: np.ndarray
     normal: np.ndarray
     evaluations: int
+    rejected: int
 
 
 def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
                           boundary_samples: int) -> MaxNormalDerivative:
     """Maximize the inward normal derivative over the body's stratified
-    boundary sample: one probe per point, skipping corner-pinched points,
-    keeping the largest estimate."""
+    boundary sample: one probe per point, skipping (and counting)
+    corner-pinched points, keeping the largest estimate."""
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
     pos, nrm = body.stratified_boundary(boundary_samples,
                                         rng.derive(cfg.seed, _TAG_MAXGRAD))
     best = None  # (Estimate, position, normal)
-    evaluations = 0
+    evaluations = rejected = 0
     for p, v in zip(pos, nrm):
         bp = BoundaryPoint(position=p, inward_normal=v)
         try:
             est = normal_derivative(body, bp, cfg)
         except ValueError:
-            continue  # corner-pinched probe; excluded by contract
+            rejected += 1  # corner-pinched probe; excluded by contract
+            continue
         evaluations += 1
         if best is None or est.mean > best[0].mean:
             best = (est, p, v)
@@ -199,7 +203,7 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
         raise ValueError("no usable boundary points (all probes rejected)")
     est, p, v = best
     return MaxNormalDerivative(estimate=est, location=p, normal=v,
-                               evaluations=evaluations)
+                               evaluations=evaluations, rejected=rejected)
 
 
 def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,

@@ -4,17 +4,20 @@ Everything here is deliberately computed by a different route than the
 library code it checks: frozen 50-digit values for the normal CDF,
 Fourier series and five-point finite differences for the square torsion
 problem, ray casting for distances, 50-digit Newton iteration for the exact
-ellipsoid distance, central differences for Laplacians, and radial or
-tensor quadrature for polynomial integrals over balls and boxes.  The
-library's earlier loops (the per-path and unfloored block crossing
-simulations, the per-slot draws and walk, the row-by-row box and polytope
-reductions) are kept verbatim as references that the faster code must
-match bit for bit, and its earlier polytope face tables by linear
-programs as the reference for the vertex-enumerated ones.
+ellipsoid distance, central differences for Laplacians, radial or tensor
+quadrature for polynomial integrals over balls and boxes, and rational
+arithmetic for polynomial values.  The library's earlier loops (the
+per-path and unfloored block crossing simulations, the per-slot draws and
+walk, the row-by-row box and polytope reductions) are kept verbatim as
+references that the faster code must match bit for bit, its earlier
+polytope face tables by linear programs as the reference for the
+vertex-enumerated ones, and its earlier ``pow`` polynomial kernel as the
+error reference for the multiplication kernel.
 """
 
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,7 +210,8 @@ def ellipse_boundary_gradient_max(semi_axes, coefficient: float,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form integrals of polynomial test functions over balls and boxes,
+# Polynomial values (the earlier pow kernel and exact rationals),
+# closed-form integrals of polynomial test functions over balls and boxes,
 # and the exact ellipsoid distance by Newton iteration.
 
 
@@ -247,6 +251,34 @@ def as_polynomial(fn, n: int) -> dict | None:
                 total[p] += w * c
         return dict(total)
     return None
+
+
+def poly_eval_pow(terms: dict, X: np.ndarray) -> np.ndarray:
+    """The library's earlier polynomial kernel, verbatim: every term raises
+    the whole point array to its power vector with numpy's float ``pow``."""
+    out = np.zeros(len(X))
+    for powers, coeff in terms.items():
+        out += coeff * np.prod(X ** np.asarray(powers), axis=1)
+    return out
+
+
+def poly_eval_exact(terms: dict, X: np.ndarray) -> list[tuple[Fraction,
+                                                              Fraction]]:
+    """Per row of X, the exact rational value of the polynomial at the
+    float inputs and sum |coeff * monomial| (the scale of its rounding
+    error), both as Fractions."""
+    rows = []
+    for row in X:
+        xs = [Fraction(float(v)) for v in row]
+        value = scale = Fraction(0)
+        for powers, coeff in terms.items():
+            mono = Fraction(float(coeff))
+            for x, p in zip(xs, powers):
+                mono *= x ** p
+            value += mono
+            scale += abs(mono)
+        rows.append((value, scale))
+    return rows
 
 
 def _poly_affine_sub(terms: dict, center: np.ndarray, scale: float) -> dict:

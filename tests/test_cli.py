@@ -98,6 +98,18 @@ class TestGradient:
                     "--boundary-samples", "8", "--out", str(out)] + BASE)
         assert code == 0
 
+    def test_rejected_probes_in_header_not_rows(self, tmp_path):
+        out = tmp_path / "g.json"
+        code = run(["gradient", "--body", "simplex-n2", "--shell", "1e-2",
+                    "--fd-delta", "0.02", "--boundary-samples", "64",
+                    "--out", str(out), "--samples", "200", "--seed", "0"])
+        assert code == 0
+        doc = load_json(out)
+        rejected = doc["header"]["rejected_probes"]
+        assert rejected > 0
+        assert doc["rows"][0]["extra"]["evaluations"] + rejected == 64
+        assert all("rejected" not in json.dumps(row) for row in doc["rows"])
+
 
 class TestLemmas:
     def test_small_run_passes(self, tmp_path):
@@ -198,6 +210,16 @@ class TestDeterminismAndErrors:
         ({"dimension": 2, "shape": {"type": "ball", "center": [float("nan"), 0.0],
                                     "radius": 1.0}},
          {"kind": "affine", "constant": 1.0, "linear": [0.0, 0.0]}),
+        ({"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                    "upper": [1, 1]}},
+         {"kind": "harmonic_polynomial", "terms": [
+             {"powers": [1, 0], "coeff": 1.0},
+             {"powers": [1, 0], "coeff": 2.0}]}),
+        # a power too large for a float once raised OverflowError
+        ({"dimension": 2, "shape": {"type": "box", "lower": [0, 0],
+                                    "upper": [1, 1]}},
+         {"kind": "harmonic_polynomial", "terms": [
+             {"powers": [2, 10**400], "coeff": 1.0}]}),
     ])
     def test_malformed_json_files_exit_2_with_one_line(self, tmp_path, capsys,
                                                        body_doc, fn_doc):

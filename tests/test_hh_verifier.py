@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestFunctionKinds:
                                                    "coeff": 1.0}]},
         {"kind": "harmonic_polynomial", "terms": [{"powers": [-1, 0],
                                                    "coeff": 1.0}]},
+        {"kind": "harmonic_polynomial", "terms": [
+            {"powers": [1, 0], "coeff": 1.0}, {"powers": [1, 0], "coeff": 2.0}]},
+        {"kind": "harmonic_polynomial", "terms": [
+            {"powers": [0, 2], "coeff": 1.0}, {"powers": [0, 2], "coeff": 1.0}]},
+        {"kind": "harmonic_polynomial", "terms": [{"powers": [65, 0],
+                                                   "coeff": 1.0}]},
+        {"kind": "harmonic_polynomial", "terms": [{"powers": [2, 10**400],
+                                                   "coeff": 1.0}]},
         {"kind": "shifted_norm", "anchor": 3.0},
         {"kind": "positive_combination", "terms": [[2.0, {}]]},
         {"kind": "positive_combination",
@@ -96,6 +105,87 @@ class TestFunctionKinds:
     def test_malformed_documents_raise_value_error(self, doc):
         with pytest.raises(ValueError):
             hh.fn_from_json(doc, 2)
+
+    @pytest.mark.parametrize("powers", [(1.5, 0), (1, 0.5), (math.inf, 0),
+                                        (math.nan, 0), (-1, 0), (65, 0)])
+    def test_polynomial_powers_are_integers_in_range(self, powers):
+        with pytest.raises(ValueError):
+            hh.HarmonicPolynomial({powers: 1.0}, 2)
+
+    def test_polynomial_largest_power_accepted(self):
+        f = hh.HarmonicPolynomial({(64, 0): 1.0, (2.0, 0): 1.0}, 2)
+        assert set(f.terms) == {(64, 0), (2, 0)}
+        assert f([-1.0, 0.5]) == 2.0
+
+
+def _random_terms(gen, n: int, count: int, max_power: int) -> dict:
+    terms = {}
+    while len(terms) < count:
+        powers = tuple(int(p) for p in gen.integers(0, max_power + 1, n))
+        terms[powers] = float(gen.uniform(-2.0, 2.0))
+    return terms
+
+
+class TestPolyEval:
+    """The multiplication kernel against rational evaluation of the same
+    float inputs: within (degree + terms) eps sum |coeff * monomial|."""
+
+    @staticmethod
+    def assert_within_rounding(terms, X, values):
+        assert values.shape == (len(X),)
+        degree = max((sum(p) for p in terms), default=0)
+        tol = (degree + len(terms)) * np.finfo(float).eps
+        for v, (exact, scale) in zip(values,
+                                     oracles.poly_eval_exact(terms, X)):
+            assert abs(Fraction(float(v)) - exact) <= tol * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_terms_within_rounding(self, n):
+        gen = np.random.default_rng(40 + n)
+        terms = _random_terms(gen, n, 6, 6)
+        top = [0] * n
+        top[n - 1] = 6
+        terms[tuple(top)] = -0.75
+        if n >= 3:  # a term with three or more nonzero factors
+            terms[(2, 1, 3) + (1,) * (n - 3)] = 1.25
+        X = gen.uniform(-1.5, 1.5, size=(200, n))
+        self.assert_within_rounding(terms, X, hh._poly_eval(terms, X))
+        # the earlier pow kernel meets the same budget
+        self.assert_within_rounding(terms, X, oracles.poly_eval_pow(terms, X))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_powers_zero_and_one_equal_the_pow_kernel(self, n):
+        # x^0 and x^1 are exact under pow too, so the products (in
+        # ascending column order) and the sum agree bit for bit
+        gen = np.random.default_rng(60 + n)
+        terms = _random_terms(gen, n, min(8, 2 ** n), 1)
+        X = gen.uniform(-1.5, 1.5, size=(500, n))
+        assert np.array_equal(hh._poly_eval(terms, X),
+                              oracles.poly_eval_pow(terms, X))
+
+    def test_constant_and_empty_dicts(self):
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 3))
+        assert hh._poly_eval({(0, 0, 0): 2.5}, X).tolist() == [2.5] * 5
+        assert hh._poly_eval({}, X).tolist() == [0.0] * 5
+        assert hh._poly_eval({}, X).shape == (5,)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_row(self, rows):
+        terms = {(3, 0): 1.0, (1, 2): -3.0, (0, 0): 0.5}
+        X = np.full((rows, 2), 0.7)
+        values = hh._poly_eval(terms, X)
+        assert values.shape == (rows,)
+        self.assert_within_rounding(terms, X, values)
+
+    def test_read_only_points_are_not_written(self):
+        gen = np.random.default_rng(9)
+        terms = _random_terms(gen, 4, 7, 5)
+        X = gen.uniform(-1.5, 1.5, size=(64, 4))
+        before = X.copy()
+        X.flags.writeable = False
+        values = hh._poly_eval(terms, X)
+        assert np.array_equal(X, before)
+        self.assert_within_rounding(terms, X, values)
 
 
 class TestCertificates:

@@ -248,7 +248,7 @@ class TestMaxNormalDerivative:
         body = cg.Ball([0.0, 0.0], 1.0)
         res = wos.max_normal_derivative(body, CFG, boundary_samples=40)
         assert abs(res.estimate.mean - 0.5) <= 5.0 * res.estimate.stderr + 0.01
-        assert res.evaluations == 40
+        assert res.evaluations == 40 and res.rejected == 0
 
     def test_ellipse_max_near_tip(self):
         body = presets.beck_ellipsoid(2)
@@ -288,6 +288,28 @@ class TestMaxNormalDerivative:
             samples, rng.derive(cfg.seed, wos._TAG_MAXGRAD))[0]
         assert np.array_equal(np.array(probed), expect)
         assert any(np.array_equal(res.location, p) for p in expect)
+
+    @pytest.mark.parametrize("name", ["simplex-n2", "random-polytope-n3"])
+    def test_rejected_probes_are_counted(self, monkeypatch, name):
+        # a wide shell and a deep probe pinch the probes near corners
+        body = presets.body_preset(name)
+        calls, raised = [], []
+        probe = wos.normal_derivative
+
+        def count(body, bp, cfg):
+            calls.append(bp.position)
+            try:
+                return probe(body, bp, cfg)
+            except ValueError:
+                raised.append(bp.position)
+                raise
+
+        monkeypatch.setattr(wos, "normal_derivative", count)
+        cfg = CFG.replace(samples=200, shell_width=1e-2, fd_delta=0.02)
+        res = wos.max_normal_derivative(body, cfg, 64)
+        assert len(calls) == 64
+        assert res.rejected == len(raised) > 0
+        assert res.evaluations + res.rejected == 64
 
     def test_theorem2_on_half_disk(self):
         body = presets.half_ball(2)
