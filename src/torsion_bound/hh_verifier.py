@@ -76,7 +76,7 @@ class CertificateError(ValueError):
 
 
 def _poly_eval(terms: dict, X: np.ndarray) -> np.ndarray:
-    """sum of coeff * prod_i x_i^p_i over the terms, at the rows of X.
+    """Sum of coeff * prod_i x_i^p_i over the terms, at the rows of X.
 
     Each column power a term uses is formed once per call by repeated
     multiplication: x_i^1 is the column view X[:, i], x_i^p is
