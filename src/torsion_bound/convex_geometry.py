@@ -5,16 +5,20 @@ Intersection.  Each body answers membership, a certified distance to the
 boundary (exact for ball/box/polytope, a safe lower bound for ellipsoids
 and intersections — safe means the inscribed sphere used by the
 walk-on-spheres step always stays inside the body), bounding box, volume
-(exact except for intersections, which use rejection Monte Carlo), and
-surface-measure boundary sampling with per-point importance weights.
+(exact except for intersections, which use rejection Monte Carlo unless
+they are a ball cut by one half-space), and surface-measure boundary
+sampling with per-point importance weights.
 
 Only this module knows how a body's boundary is stratified (the faces of
 a box or polytope, the members of an intersection; balls and ellipsoids
 have no strata).
 
-All sampling is keyed by (seed, candidate index), and every rejection
-sampler consumes candidate ids in order through ``_keyed_rejection``, so
-sample lists are bit-reproducible and independent of batch sizes.
+All sampling is keyed by (seed, candidate index), and every sampler
+consumes candidate ids in order through ``_keyed_rejection``, so sample
+lists are bit-reproducible and independent of batch sizes.  Balls,
+ellipsoids, boxes and polytopes draw their interiors, and polytopes their
+faces, exactly: one candidate per returned point.  Intersections draw
+their interiors by bounding-box rejection.
 
 JSON schema (round-trips losslessly):
 
@@ -29,8 +33,9 @@ A stand-alone polytope must be bounded (validated by linear programs in
 all +-coordinate directions); unbounded half-space collections are only
 accepted as members of a bounded intersection.  Linear programs only
 validate boundedness and find a polytope's Chebyshev centre (inradius and
-interior point); its face tables (areas and chart boxes) come from one
-qhull vertex enumeration (``scipy.spatial.HalfspaceIntersection``).
+interior point); its face tables (areas and the cone samplers of its
+faces and interior) come from one qhull vertex enumeration
+(``scipy.spatial.HalfspaceIntersection``).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.special import betainc, betaincc
 
 from . import rng
 from .analytic_library import ball_surface_area, ball_volume, unit_sphere_area
@@ -119,7 +125,16 @@ class ConvexBody:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    # -- boundary sampling ---------------------------------------------------
+    # -- sampling -------------------------------------------------------------
+
+    def _interior_batch(self, key: int, ids: np.ndarray):
+        """One interior candidate per id: (positions, ok), ok marking the
+        candidates inside the body.  Here uniform in the bounding box
+        (slots 0..n-1 of counter 0), accepted by ``contains_many``; bodies
+        with an exact draw override it and accept every candidate."""
+        lo, hi = self.bounding_box()
+        pts = lo + rng.uniforms(key, ids, 0, self.dimension) * (hi - lo)
+        return pts, self.contains_many(pts)
 
     def _boundary_batch(self, key: int, ids: np.ndarray):
         """One boundary candidate per id: (positions, inward normals,
@@ -204,24 +219,30 @@ def _keyed_rejection(draw, count: int, batch: int, limit: int, starved: str):
     """Exactly ``count`` accepted candidates.
 
     ``draw(ids)`` returns arrays with one row per candidate id, then a
-    mask of the accepted rows.  Ids are consumed in order from 0 in
-    batches of ``batch``, so the accepted rows do not depend on the batch
-    size.  Raises SamplingStarved(``starved``) once more than ``limit``
-    ids were drawn without filling ``count``.
+    mask of the accepted rows.  Ids are consumed in order from 0, so the
+    accepted rows do not depend on how the ids are batched.  A call asks
+    for the ids still missing, at most ``batch``, as long as every
+    candidate so far was accepted, and for ``batch`` ids otherwise: an
+    exact draw takes one candidate per returned row.  Raises
+    SamplingStarved(``starved``) once more than ``limit`` ids were drawn
+    without filling ``count``.
     """
     parts = []
     collected = 0
     next_id = 0
+    size = min(batch, count)
     while collected < count:
         if next_id > limit:
             raise SamplingStarved(starved)
-        ids = np.arange(next_id, next_id + batch, dtype=np.uint64)
-        next_id += batch
+        ids = np.arange(next_id, next_id + size, dtype=np.uint64)
+        next_id += size
         *arrays, ok = draw(ids)
-        if not ok.all():
+        exact = ok.all()
+        if not exact:
             arrays = [a.compress(ok, axis=0) for a in arrays]
         parts.append(arrays)
         collected += len(arrays[0])
+        size = min(batch, count - collected) if exact else batch
     return tuple(np.concatenate(col)[:count] for col in zip(*parts))
 
 
@@ -246,6 +267,13 @@ def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
     if v.shape != (n,):
         raise ValueError(f"{name} must have dimension {n}, got shape {v.shape}")
     return v
+
+
+def _unit_ball_points(key: int, ids: np.ndarray, n: int) -> np.ndarray:
+    """Uniform points of the unit ball, one per id: a direction (counter
+    0) times U^(1/n), U slot 0 of counter 1."""
+    radius = rng.uniforms(key, ids, 1, 1)[:, 0] ** (1.0 / n)
+    return rng.unit_vectors(key, ids, 0, n) * radius[:, None]
 
 
 class Ball(ConvexBody):
@@ -287,6 +315,11 @@ class Ball(ConvexBody):
     @cached_property
     def diameter(self):
         return 2.0 * self.radius
+
+    def _interior_batch(self, key, ids):
+        return (self.center + self.radius * _unit_ball_points(key, ids,
+                                                              self.dimension),
+                np.ones(len(ids), dtype=bool))
 
     def _boundary_batch(self, key, ids):
         dirs = rng.unit_vectors(key, ids, 0, self.dimension)
@@ -376,6 +409,12 @@ class Ellipsoid(ConvexBody):
     def diameter(self):
         return 2.0 * float(self.semi_axes.max())
 
+    def _interior_batch(self, key, ids):
+        # the axis scaling of the unit ball's draw
+        return (self.center + self.semi_axes * _unit_ball_points(
+                    key, ids, self.dimension),
+                np.ones(len(ids), dtype=bool))
+
     def _boundary_batch(self, key, ids):
         z = rng.unit_vectors(key, ids, 0, self.dimension)
         pos = self.center + self.semi_axes * z
@@ -433,6 +472,11 @@ class Box(ConvexBody):
 
     def interior_point(self):
         return 0.5 * (self.lower + self.upper)
+
+    def _interior_batch(self, key, ids):
+        pts = self.lower + rng.uniforms(key, ids, 0, self.dimension) \
+            * (self.upper - self.lower)
+        return pts, np.ones(len(ids), dtype=bool)
 
     @cached_property
     def _face_table(self):
@@ -546,7 +590,7 @@ def _facets(on, ids, d: int, maximal: bool = False):
     incidence of its vertices (on[k, j]: vertex k lies on constraint j)
     and their ids.  A constraint holding at least d vertices may bound a
     facet.  One touching the body only along a lower face holds a vertex
-    set of lower dimension, which _vertex_volume measures as about 0; with
+    set of lower dimension, which _face_lattice measures as about 0; with
     ``maximal`` it is dropped instead, as another constraint holds a
     strict superset of its vertices.  Polytope.faces asks for that; in
     the recursion the check costs more than measuring the rare degenerate
@@ -570,52 +614,119 @@ def _facets(on, ids, d: int, maximal: bool = False):
             yield j, sel, key
 
 
-def _vertex_volume(A, c, Y, on, ids, memo) -> float:
-    """Volume of the bounded {y : A y <= c} with vertices Y (one per row),
-    their incidence ``on`` and ids (as in _facets), by the recursive
-    divergence identity vol = (1/d) sum_j (c_j - a_j . x0) |facet_j|.  x0
-    is the vertex centroid; any x0 gives the same sum, as
-    sum_j a_j |facet_j| = 0.  Vertices spanning fewer than d dimensions
-    measure about 0: x0 lies on each constraint holding them all, and any
-    other constraint holds a set of still lower dimension.  ``memo`` keeps
-    each face's volume under its key, so a face shared by several facets
-    is measured once."""
+def _uniform_slots(key: int, ids: np.ndarray, slots: int) -> np.ndarray:
+    """``slots`` uniforms per id: slots 0..MAX_SLOTS-1 of counter 0, then
+    of counter 1, and so on."""
+    return np.hstack([rng.uniforms(key, ids, k, min(rng.MAX_SLOTS,
+                                                    slots - k * rng.MAX_SLOTS))
+                      for k in range(-(-slots // rng.MAX_SLOTS))])
+
+
+@dataclass(frozen=True)
+class _Simplex:
+    """A simplicial face (a segment included), given by its d + 1
+    vertices in space.  A uniform point is the flat Dirichlet combination
+    of the vertices, with weights from d + 1 exponentials -log u."""
+
+    vertices: np.ndarray    # (d + 1, n)
+
+    @property
+    def slots(self) -> int:
+        return len(self.vertices)
+
+    def draw(self, u: np.ndarray, slot: int) -> np.ndarray:
+        """One uniform point per row of u, from its columns slot on."""
+        e = -np.log(u[:, slot:slot + len(self.vertices)])
+        # column by column, so every row rounds alike in any batch
+        total = e[:, 0].copy()
+        for k in range(1, e.shape[1]):
+            total += e[:, k]
+        pts = (e[:, 0] / total)[:, None] * self.vertices[0]
+        for k in range(1, e.shape[1]):
+            pts += (e[:, k] / total)[:, None] * self.vertices[k]
+        return pts
+
+
+@dataclass(frozen=True)
+class _Cone:
+    """A d-face that is not a simplex, as the union of the cones from its
+    vertex centroid (the apex) over its facets.  A uniform point picks
+    the cone over facet j with probability (c_j - a_j . apex) |F_j| /
+    (d vol) (column slot of u), draws y uniformly on F_j (columns slot + 2
+    on), and returns apex + U^(1/d) (y - apex), U column slot + 1."""
+
+    dim: int
+    apex: np.ndarray        # (n,)
+    cum: np.ndarray         # cumulative facet probabilities, last 1.0
+    facets: tuple           # the facets' samplers, _Simplex or _Cone
+    slots: int              # uniforms a draw takes
+
+    def draw(self, u: np.ndarray, slot: int) -> np.ndarray:
+        pick = np.searchsorted(self.cum, u[:, slot], side="right")
+        y = np.empty((len(u), self.apex.size))
+        for j in np.unique(pick):
+            sel = pick == j
+            y[sel] = self.facets[j].draw(u[sel], slot + 2)
+        s = u[:, slot + 1] ** (1.0 / self.dim)
+        return self.apex + s[:, None] * (y - self.apex)
+
+
+def _cone(dim: int, apex: np.ndarray, weights: list, facets: list):
+    """The _Cone over the facets of positive weight (height x area), or
+    None when none has one (a vertex set of lower dimension)."""
+    keep = [(w, f) for w, f in zip(weights, facets)
+            if w > 0.0 and f is not None]
+    if not keep:
+        return None
+    cum = np.cumsum([w for w, _f in keep])
+    return _Cone(dim, apex, cum / cum[-1], tuple(f for _w, f in keep),
+                 2 + max(f.slots for _w, f in keep))
+
+
+def _face_lattice(A, c, Y, on, ids, vertices, memo):
+    """(volume, sampler) of the bounded {y : A y <= c} with vertices Y
+    (one per row, in its chart), their incidence ``on`` and ids (as in
+    _facets).  The volume is the recursive divergence identity
+    vol = (1/d) sum_j (c_j - a_j . x0) |facet_j|, x0 the vertex centroid;
+    any x0 gives the same sum, as sum_j a_j |facet_j| = 0.  Vertices
+    spanning fewer than d dimensions measure about 0: x0 lies on each
+    constraint holding them all, and any other constraint holds a set of
+    still lower dimension.  The sampler draws the face uniformly in space
+    (``vertices[ids]`` are its vertices there): a _Simplex when it has
+    d + 1 vertices (a segment always), else the _Cone over its facets
+    with the same x0 and terms.  ``memo`` keeps each face's pair under its
+    key, so a face shared by several facets is measured once."""
     d = A.shape[1]
     if d == 1:
-        return float(Y.max() - Y.min())
+        ends = ids[[np.argmin(Y[:, 0]), np.argmax(Y[:, 0])]]
+        return float(Y.max() - Y.min()), _Simplex(vertices[ends])
     x0 = Y.mean(axis=0)
-    total = 0.0
+    weights, facets = [], []
     for j, sel, key in _facets(on, ids, d):
         if key not in memo:
             sub = _face_subsystem(A, c, j)
-            memo[key] = 0.0 if sub is None else _vertex_volume(
+            memo[key] = (0.0, None) if sub is None else _face_lattice(
                 sub[2], sub[3], (Y[sel] - sub[1]) @ sub[0],
-                on[np.ix_(sel, sub[4])], ids[sel], memo)
-        total += (c[j] - A[j] @ x0) * memo[key]
-    return total / d
+                on[np.ix_(sel, sub[4])], ids[sel], vertices, memo)
+        vol, sampler = memo[key]
+        weights.append((c[j] - A[j] @ x0) * vol)
+        facets.append(sampler)
+    if len(ids) == d + 1:
+        sampler = _Simplex(vertices[ids])
+    else:
+        sampler = _cone(d, vertices[ids].mean(axis=0), weights, facets)
+    return sum(weights) / d, sampler
 
 
 @dataclass(frozen=True)
 class _Face:
+    """A facet of a polytope: its constraint, area and exact sampler."""
+
     index: int
     normal: np.ndarray      # outward
     offset: float
-    plane_point: np.ndarray
-    basis: np.ndarray       # (n, n-1) orthonormal chart of the hyperplane
-    sub_A: np.ndarray       # face constraints in chart coordinates
-    sub_c: np.ndarray
-    chart_lo: np.ndarray    # bounding box of the face in the chart
-    chart_hi: np.ndarray
     area: float
-
-    def to_space(self, coords: np.ndarray) -> np.ndarray:
-        """Points of the face's hyperplane at chart coordinates ``coords``."""
-        if len(coords) == 1:
-            # numpy multiplies a single row by gemv, which rounds unlike
-            # gemm; doubling the row keeps each point independent of how
-            # many points share the call
-            return self.to_space(np.vstack((coords, coords)))[:1]
-        return self.plane_point + coords @ self.basis.T
+    sampler: _Simplex | _Cone
 
 
 class Polytope(ConvexBody):
@@ -631,8 +742,10 @@ class Polytope(ConvexBody):
     once, from the Chebyshev centre; a face's vertices are those within
     the vertex tolerance of its hyperplane (see _VERTEX_TOL), and a
     constraint bounds a face when no other holds a strict superset of its
-    vertices.  Its chart box is the range of their chart coordinates, and
-    its area the divergence identity run on vertex sets (_vertex_volume).
+    vertices.  One recursion over the face lattice (_face_lattice) gives
+    each face its area and its exact sampler, and the body's interior
+    sampler is the cone from the vertex centroid over the faces: a simplex
+    body is one Dirichlet draw.
     """
 
     def __init__(self, half_spaces, require_bounded: bool = True):
@@ -695,6 +808,11 @@ class Polytope(ConvexBody):
 
     @cached_property
     def faces(self) -> list[_Face]:
+        return self._lattice[0]
+
+    @cached_property
+    def _lattice(self):
+        """(faces, interior sampler) from one vertex enumeration."""
         if not self.require_bounded:
             raise ValueError("faces of an unbounded half-space collection "
                              "are not available")
@@ -717,22 +835,26 @@ class Polytope(ConvexBody):
             if sub is None:
                 continue
             Q, p, A2, c2, rows = sub
-            Y = (vertices[sel] - p) @ Q
-            area = _vertex_volume(A2, c2, Y, on[np.ix_(sel, rows)], ids[sel],
-                                  memo)
+            area, sampler = _face_lattice(A2, c2, (vertices[sel] - p) @ Q,
+                                          on[np.ix_(sel, rows)], ids[sel],
+                                          vertices, memo)
             # a maximal vertex set spans its face, so no size threshold is
             # needed: one drops the side faces of thin bodies the
             # constructor accepts (a slab 2e-12 x scale thick)
             if area <= 0.0:
                 continue
-            # the chart box of the face's vertices: a tight sampling box
             out.append(_Face(index=int(i), normal=self.A[i], offset=self.c[i],
-                             plane_point=p, basis=Q, sub_A=A2, sub_c=c2,
-                             chart_lo=Y.min(axis=0), chart_hi=Y.max(axis=0),
-                             area=area))
+                             area=area, sampler=sampler))
         if not out:
             raise ValueError("polytope has no positive-area faces")
-        return out
+        if len(vertices) == self.dimension + 1:
+            interior = _Simplex(vertices)
+        else:
+            apex = vertices.mean(axis=0)
+            interior = _cone(self.dimension, apex,
+                             [(f.offset - f.normal @ apex) * f.area for f in out],
+                             [f.sampler for f in out])
+        return out, interior
 
     def volume_exact(self):
         """Exact volume from the faces by the divergence identity
@@ -756,18 +878,19 @@ class Polytope(ConvexBody):
         return 37, np.array([f.area for f in self.faces])
 
     def _stratum(self, index, key):
-        # uniform in the face's chart box, accepted inside the face: the
-        # box volume is each candidate's weight
         face = self.faces[index]
-        span = face.chart_hi - face.chart_lo
-        box = float(np.prod(span))
+        sampler = face.sampler
 
         def draw(ids):
-            y = face.chart_lo + rng.uniforms(key, ids, 0, self.dimension - 1) * span
-            ok = np.all(y @ face.sub_A.T <= face.sub_c, axis=1)
-            return (face.to_space(y), np.tile(-face.normal, (len(ids), 1)),
-                    np.full(len(ids), box), ok)
+            pos = sampler.draw(_uniform_slots(key, ids, sampler.slots), 0)
+            return (pos, np.tile(-face.normal, (len(ids), 1)),
+                    np.full(len(ids), face.area), np.ones(len(ids), dtype=bool))
         return draw
+
+    def _interior_batch(self, key, ids):
+        sampler = self._lattice[1]
+        return (sampler.draw(_uniform_slots(key, ids, sampler.slots), 0),
+                np.ones(len(ids), dtype=bool))
 
     def shape_json(self):
         return {"type": "polytope",
@@ -852,6 +975,45 @@ class Intersection(ConvexBody):
     def interior_point(self):
         return self._deep_point.copy()
 
+    def _half_ball(self):
+        """(n, R, t) when the members are one Ball and one single-constraint
+        half-space {a . x <= c}, with t = (c - a . center)/R clamped to
+        [-1, 1]; None otherwise."""
+        balls = [m for m in self.members if isinstance(m, Ball)]
+        cuts = [m for m in self.members
+                if isinstance(m, Polytope) and len(m.c) == 1]
+        if len(self.members) != 2 or len(balls) != 1 or len(cuts) != 1:
+            return None
+        ball, cut = balls[0], cuts[0]
+        t = (cut.c[0] - cut.A[0] @ ball.center) / ball.radius
+        return self.dimension, ball.radius, min(max(float(t), -1.0), 1.0)
+
+    def volume_exact(self):
+        """Closed form for a ball of radius R cut at height h = tR from its
+        centre (S. Li, "Concise formulas for the area and volume of a
+        hyperspherical cap", 2011): the cap beyond the plane has volume
+        (1/2) omega_n R^n I_(1-t^2)((n+1)/2, 1/2), and it is the body
+        itself when t < 0.  None for any other intersection."""
+        half = self._half_ball()
+        if half is None:
+            return None
+        n, radius, t = half
+        return ball_volume(n, radius) * _kept_share(0.5 * (n + 1), t)
+
+    def surface_area_exact(self):
+        """The sphere part by the same cap formula with
+        I_(1-t^2)((n-1)/2, 1/2), plus the flat (n-1)-ball of radius
+        sqrt(R^2 - h^2); None for any other intersection."""
+        half = self._half_ball()
+        if half is None:
+            return None
+        n, radius, t = half
+        sphere = ball_surface_area(n, radius) * _kept_share(0.5 * (n - 1), t)
+        # omega_(n-1) (R^2 - h^2)^((n-1)/2), with omega_1 = 2 (a chord)
+        flat = (math.pi * (1.0 - t) * (1.0 + t)) ** (0.5 * (n - 1)) \
+            / math.gamma(0.5 * (n + 1))
+        return float(sphere + flat * radius ** (n - 1))
+
     @cached_property
     def diameter(self):
         lo, hi = self._bbox
@@ -917,6 +1079,18 @@ class _ClippedPolytope(Polytope):
         return None  # the kept faces do not enclose the clipped body
 
 
+def _kept_share(a: float, t: float) -> float:
+    """Share of a ball (a = (n+1)/2) or of its sphere (a = (n-1)/2) on the
+    side s <= tR of a plane, |t| <= 1: 1 - (1/2) I_(1-t^2)(a, 1/2), or
+    (1/2) I_(1-t^2)(a, 1/2) when t < 0.  It is evaluated through
+    I_(1-t^2)(a, 1/2) = 1 - I_(t^2)(1/2, a): 1 - t^2 rounds near t = 0,
+    where I_x(a, 1/2) has an infinite slope in x, and t^2 does not."""
+    x = t * t
+    if t >= 0.0:
+        return 0.5 * (1.0 + float(betainc(0.5, a, x)))
+    return 0.5 * float(betaincc(0.5, a, x))
+
+
 def _clip_to_box(poly: Polytope, lo, hi) -> _ClippedPolytope:
     halves = [(a, ci) for a, ci in zip(poly.A, poly.c)]
     n = poly.dimension
@@ -955,8 +1129,9 @@ def distance_to_boundary(body: ConvexBody, x) -> float:
 
 
 def volume(body: ConvexBody, cfg: WosConfig) -> Estimate:
-    """Exact for ball/ellipsoid/box/polytope; rejection Monte Carlo
-    against the tightest bounding box only for intersections."""
+    """Exact for ball/ellipsoid/box/polytope and for a ball cut by one
+    half-space; rejection Monte Carlo against the tightest bounding box
+    for other intersections."""
     exact = body.volume_exact()
     if exact is not None:
         return Estimate.exact(exact)
@@ -972,8 +1147,9 @@ def volume(body: ConvexBody, cfg: WosConfig) -> Estimate:
 
 
 def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
-    """Exact for ball/box/polytope; weighted-sample normalization for
-    ellipsoids and intersections."""
+    """Exact for ball/box/polytope and for a ball cut by one half-space;
+    weighted-sample normalization for ellipsoids and other
+    intersections."""
     exact = body.surface_area_exact()
     if exact is not None:
         return Estimate.exact(exact)
@@ -987,15 +1163,13 @@ def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
 
 
 def interior_points(body: ConvexBody, count: int, key: int) -> np.ndarray:
-    """Exactly ``count`` uniform interior samples by bounding-box rejection."""
+    """Exactly ``count`` uniform interior samples.  Balls, ellipsoids,
+    boxes and polytopes draw them exactly, one candidate per sample;
+    intersections by bounding-box rejection."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    lo, hi = body.bounding_box()
-
-    def draw(ids):
-        pts = lo + rng.uniforms(key, ids, 0, body.dimension) * (hi - lo)
-        return pts, body.contains_many(pts)
-    return _keyed_rejection(draw, count, _BATCH, 100_000_000,
+    return _keyed_rejection(lambda ids: body._interior_batch(key, ids),
+                            count, _BATCH, 100_000_000,
                             "interior sampling starved (volume ~ 0?)")[0]
 
 

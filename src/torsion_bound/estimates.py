@@ -15,6 +15,8 @@ class WosConfig:
 
     shell_width and fd_delta are fractions of the body diameter: the walk
     absorbs inside the shell, and normal derivatives probe fd_delta deep.
+    samples is at least 2: a stderr needs two values, and a stderr of 0
+    marks an exact value.
     """
 
     samples: int = 10_000
@@ -25,8 +27,8 @@ class WosConfig:
     def __post_init__(self):
         if not (0.0 < self.shell_width < 1.0):
             raise ValueError("shell_width must lie in (0, 1)")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2")
         if not (math.isfinite(self.fd_delta)
                 and self.fd_delta > self.shell_width):
             raise ValueError("fd_delta must be finite and exceed shell_width")

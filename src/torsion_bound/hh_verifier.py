@@ -15,8 +15,12 @@ Shared draws.  Every sample the checks use depends on the body and the
 seed, never on f: the 512 interior and 512 boundary certificate probes
 (keyed by (seed, _TAG_CERT, 1 or 2)), the cfg.samples uniform interior
 points (seed, _TAG_VOLUME_INT), the cfg.samples weighted boundary points
-(seed, _TAG_BOUNDARY_INT), and the volume and surface area (cfg.seed and
-cfg.samples).  They are drawn once per (body identity, cfg.seed,
+(seed, _TAG_BOUNDARY_INT), and the volume and surface area.  Interior
+points are exact draws, one candidate per point, except on intersections,
+which reject from their bounding box.  The volume and area are closed
+forms except for an ellipsoid's area and an intersection other than a
+ball cut by one half-space, which are Monte Carlo estimates on
+(cfg.seed, cfg.samples).  They are drawn once per (body identity, cfg.seed,
 cfg.samples) into a read-only sample set that every function on that body
 reuses, so checking several functions on one body draws once and gives
 the same numbers, bit for bit, as drawing afresh for each.  The most
@@ -187,7 +191,8 @@ class HarmonicPolynomial(SubharmonicFn):
     """Polynomial given by a term dict {powers tuple: coefficient}, each
     power an integer from 0 to _MAX_POWER; the Laplacian is computed
     symbolically, so harmonicity (or subharmonicity) is checked exactly
-    at the certificate probes."""
+    at the certificate probes.  The terms are kept, and added, in sorted
+    order of their powers."""
 
     kind = "harmonic_polynomial"
 
@@ -199,8 +204,10 @@ class HarmonicPolynomial(SubharmonicFn):
             if any(not 0 <= p <= _MAX_POWER or p != int(p) for p in powers):
                 raise ValueError(f"term powers must be integers from 0 to "
                                  f"{_MAX_POWER}, got {list(powers)}")
-        self.terms = {tuple(int(p) for p in k): float(v)
-                      for k, v in terms.items()}
+        # sorted, as to_json writes them: a JSON round trip then adds the
+        # terms in the same order and evaluates bit for bit alike
+        self.terms = dict(sorted((tuple(int(p) for p in k), float(v))
+                                 for k, v in terms.items()))
         self._laplacian_terms = _poly_laplacian(self.terms, self.dimension)
 
     def value(self, X):

@@ -10,9 +10,12 @@ arithmetic for polynomial values.  The library's earlier loops (the
 per-path and unfloored block crossing simulations, the per-slot draws and
 walk, the row-by-row box and polytope reductions) are kept verbatim as
 references that the faster code must match bit for bit, its earlier
-polytope face tables by linear programs as the reference for the
+polytope face areas by linear programs as the reference for the
 vertex-enumerated ones, and its earlier ``pow`` polynomial kernel as the
-error reference for the multiplication kernel.
+error reference for the multiplication kernel.  Uniform laws on simplices
+and polytopes are checked against closed-form moments summed over a qhull
+triangulation, and the half-ball volume and area against mpmath
+quadrature over slices.
 """
 
 import math
@@ -554,9 +557,9 @@ def _hrep_face_volume(A, c, i, scale) -> float:
     return _hrep_volume(A2, c2, scale)
 
 
-def lp_face_table(poly) -> list[tuple[int, np.ndarray, np.ndarray, float]]:
-    """(index, chart_lo, chart_hi, area) of every face that
-    ``poly.faces`` should list, by linear programs."""
+def lp_face_table(poly) -> list[tuple[int, float]]:
+    """(index, area) of every face that ``poly.faces`` should list, by
+    linear programs."""
     from torsion_bound import convex_geometry as cg
 
     lo, hi = poly.bounding_box()
@@ -572,6 +575,79 @@ def lp_face_table(poly) -> list[tuple[int, np.ndarray, np.ndarray, float]]:
             continue
         if isinstance(poly, cg._ClippedPolytope) and i >= poly._n_original:
             continue
-        chart_lo, chart_hi = cg._hrep_bbox(A2, c2)
-        out.append((i, chart_lo, chart_hi, area))
+        out.append((i, area))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Uniform laws on simplices and polytopes: closed-form moments, summed over
+# a qhull triangulation for polytopes (the samplers use a cone
+# decomposition of the face lattice instead).
+
+
+def simplex_moments(V: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(measure, mean, second moment E[x x^T]) of the uniform law on the
+    simplex with vertices V (d + 1 rows in R^n, d <= n).  The measure is
+    the Gram determinant sqrt(det(E E^T)) / d! of the edges E, and
+    E[x x^T] = (sum v v^T + (sum v)(sum v)^T) / ((d + 1)(d + 2))."""
+    V = np.asarray(V, dtype=float)
+    d = len(V) - 1
+    E = V[1:] - V[0]
+    measure = math.sqrt(abs(np.linalg.det(E @ E.T))) / math.factorial(d)
+    total = V.sum(axis=0)
+    second = (V.T @ V + np.outer(total, total)) / ((d + 1) * (d + 2))
+    return measure, V.mean(axis=0), second
+
+
+def polytope_moments(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, second moment) of the uniform law on the convex hull of
+    ``vertices`` (full-dimensional), from its Delaunay triangulation."""
+    from scipy.spatial import Delaunay
+
+    tri = Delaunay(vertices)
+    mass, first, second = 0.0, 0.0, 0.0
+    for simplex in tri.simplices:
+        vol, mean, sec = simplex_moments(vertices[simplex])
+        mass += vol
+        first = first + vol * mean
+        second = second + vol * sec
+    return first / mass, second / mass
+
+
+def moment_errors(points: np.ndarray, mean: np.ndarray, second: np.ndarray,
+                  atol: float = 1e-12) -> np.ndarray:
+    """|sample moment - exact| / (standard error + atol) of every
+    coordinate mean and every product moment E[x_i x_j], i <= j.  The
+    atol lets a coordinate that is constant on a face (zero variance)
+    carry its rounding."""
+    n = points.shape[1]
+    cols = [points[:, i] for i in range(n)]
+    exact = list(mean)
+    for i in range(n):
+        for j in range(i, n):
+            cols.append(points[:, i] * points[:, j])
+            exact.append(second[i, j])
+    vals = np.column_stack(cols)
+    se = vals.std(axis=0, ddof=1) / math.sqrt(len(vals))
+    return np.abs(vals.mean(axis=0) - np.array(exact)) / (se + atol)
+
+
+def half_ball_measures_mp(n: int, radius: float, t: float,
+                          dps: int = 30) -> tuple[float, float]:
+    """(volume, surface area) of a ball of radius R cut by a plane at
+    signed height h = tR from its centre, keeping {s <= h}, by mpmath
+    quadrature over the slices s in [-R, h]: a slice is an (n-1)-ball of
+    radius rho = sqrt(R^2 - s^2), and the sphere meets it in an
+    (n-2)-sphere whose band has width R / rho ds."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        R, h = mp.mpf(radius), mp.mpf(t) * radius
+        omega = mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+        sigma = (n - 1) * omega  # area of the unit sphere in R^(n-1)
+        vol = mp.quad(lambda s: omega * (R * R - s * s) ** (mp.mpf(n - 1) / 2),
+                      [-R, h])
+        band = mp.quad(lambda s: sigma * R * (R * R - s * s) ** (mp.mpf(n - 3) / 2),
+                       [-R, h])
+        flat = omega * (R * R - h * h) ** (mp.mpf(n - 1) / 2)
+        return float(vol), float(band + flat)

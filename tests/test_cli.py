@@ -232,6 +232,18 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-hh", "--preset", "half-disk-affine", "--samples", "1"],
+        ["gradient", "--body", "unit-ball-n2", "--samples", "1",
+         "--boundary-samples", "1"],
+    ])
+    def test_one_sample_exits_2_with_one_line(self, capsys, argv):
+        # one sample has no stderr: its estimate would claim to be exact
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be >= 2\n"
+
     def test_starved_sampler_exits_2_with_one_line(self, monkeypatch,
                                                    capsys):
         # a real starvation takes 1e8 candidates; raise it from the sampler

@@ -260,10 +260,15 @@ class TestVolume:
         mc = cg.volume(forced, CFG)
         assert abs(mc.mean - est.mean) <= 4.0 * mc.stderr
 
-    def test_half_disk_mc(self):
+    def test_half_disk_exact(self):
         est = cg.volume(half_disk(), CFG)
-        assert est.stderr > 0
-        assert abs(est.mean - math.pi / 2.0) <= 3.0 * est.stderr
+        assert est.stderr == 0.0 and est.samples == 0
+        assert est.mean == pytest.approx(math.pi / 2.0, rel=1e-15)
+        # a third member, which changes nothing, forces Monte Carlo
+        forced = cg.Intersection([*half_disk().members, cg.Box([-2, -2], [2, 2])])
+        mc = cg.volume(forced, CFG)
+        assert mc.stderr > 0
+        assert abs(mc.mean - est.mean) <= 4.0 * mc.stderr
 
     def test_polytope_mc_vs_lasserre(self):
         # the face (Lasserre) decomposition is exact; the Monte Carlo
@@ -287,7 +292,8 @@ class TestSurfaceArea:
 
     def test_half_disk(self):
         est = cg.surface_area(half_disk(), CFG)
-        assert abs(est.mean - (2.0 + math.pi)) <= 3.0 * est.stderr
+        assert est.stderr == 0.0
+        assert est.mean == pytest.approx(2.0 + math.pi, rel=1e-15)
 
     def test_ellipse_perimeter(self):
         # 4 a E(e) for the ellipse with semi-axes (2, sqrt(2))
@@ -381,12 +387,9 @@ class TestFaceTables:
     @staticmethod
     def assert_matches_lp(poly):
         ref = oracles.lp_face_table(poly)
-        assert [f.index for f in poly.faces] == [i for i, *_ in ref]
-        tol = 1e-13 * scale_of(poly)
-        for face, (_i, chart_lo, chart_hi, area) in zip(poly.faces, ref):
+        assert [f.index for f in poly.faces] == [i for i, _a in ref]
+        for face, (_i, area) in zip(poly.faces, ref):
             assert abs(face.area - area) <= 1e-13 * area
-            assert np.all(np.abs(face.chart_lo - chart_lo) <= tol)
-            assert np.all(np.abs(face.chart_hi - chart_hi) <= tol)
 
     @staticmethod
     def assert_matches_hull(poly, h=None):
@@ -436,7 +439,8 @@ class TestFaceTables:
         # the LPs put the end of x = 1 at y = 1: HiGHS stops within its
         # feasibility tolerance (1e-7) of the cut y <= 1 - 1e-9
         poly = square_with_cut_corner(1e-9)
-        ends = [f.to_space(np.vstack((f.chart_lo, f.chart_hi)))
+        # every edge is sampled as the segment between its two vertices
+        ends = [f.sampler.vertices[np.lexsort(f.sampler.vertices.T[::-1])]
                 for f in poly.faces]
         assert [f.index for f in poly.faces] == list(range(5))
         assert ends[1] == pytest.approx(np.array([[1.0, 0.0], [1.0, 1.0 - 1e-9]]),
@@ -500,11 +504,12 @@ class TestFaceTables:
         rel = 1e-14 * 1e4  # eps x coordinates / scale, with room
         tol = rel * scale_of(near)
         assert [f.index for f in far.faces] == [f.index for f in near.faces]
-        for f, g in zip(far.faces, near.faces):
+        ids = np.arange(200, dtype=np.uint64)
+        for i, (f, g) in enumerate(zip(far.faces, near.faces)):
             assert abs(f.area - g.area) <= rel * g.area
-            moved = shift @ f.basis
-            assert np.all(np.abs(f.chart_lo - g.chart_lo - moved) <= tol)
-            assert np.all(np.abs(f.chart_hi - g.chart_hi - moved) <= tol)
+            # the same draws on each face, moved by the shift
+            moved = far._stratum(i, 7)(ids)[0] - shift
+            assert np.all(np.abs(moved - near._stratum(i, 7)(ids)[0]) <= tol)
         assert far.volume_exact() == pytest.approx(near.volume_exact(),
                                                    rel=rel)
         assert far.volume_exact() == pytest.approx(hull(far).volume, rel=rel)
@@ -572,16 +577,11 @@ class TestFaceTables:
         poly = presets.random_polytope(6, 60, 1)
         h = hull(poly)
         self.assert_matches_hull(poly, h)
-        tol = 1e-13 * scale_of(poly)
         for face in poly.faces:
-            # the face's own hull in its chart, and its chart box by LPs
+            # the face's own hull in a chart of its hyperplane
             level = h.points @ face.normal - face.offset
-            chart = (h.points[np.abs(level) <= 1e-9] - face.plane_point) \
-                @ face.basis
+            chart = h.points[np.abs(level) <= 1e-9] @ cg._complement(face.normal)
             assert abs(face.area - ConvexHull(chart).volume) <= 1e-12 * face.area
-            lo, hi = cg._hrep_bbox(face.sub_A, face.sub_c)
-            assert np.all(np.abs(face.chart_lo - lo) <= tol)
-            assert np.all(np.abs(face.chart_hi - hi) <= tol)
 
     def test_tables_call_no_linear_programs(self, monkeypatch):
         # only a constructor solves LPs: 2n for the bounding box (which
@@ -680,9 +680,9 @@ class TestBoundarySampling:
 
     @pytest.mark.parametrize("name", list(AREAS))
     def test_weights_integrate_the_surface_area(self, name):
-        # E[weight * ok] over the candidates is the boundary measure; a
-        # polytope face candidate weighs its chart box, of which the face
-        # fills only a part
+        # E[weight * ok] over the candidates is the boundary measure; an
+        # intersection's candidates weigh more than the area they land on,
+        # as some fall outside the other members
         body = presets.body_preset(name)
         area = self.AREAS[name] or hull(body).area
         _pos, _nrm, wgt, ok = body._boundary_batch(
@@ -787,6 +787,233 @@ class TestStrata:
         assert np.allclose(arc_nrm, -arc, atol=1e-12)
         assert np.all(flat[:, 1] == 0.0) and np.all(np.abs(flat[:, 0]) <= 1.0)
         assert np.all(flat_nrm == [0.0, 1.0])
+
+
+def simplex_vertices(n, scale=1.0):
+    return np.vstack([np.zeros(n), scale * np.eye(n)])
+
+
+def on_face(vertices, face):
+    return vertices[np.abs(vertices @ face.normal - face.offset) <= 1e-12]
+
+
+# faces of random-polytope-n3 as enumerated before the cone samplers
+# replaced chart-box rejection
+RANDOM_POLYTOPE_N3_AREAS = [
+    2.635608593169099, 7.215979353972582, 5.972746538940096,
+    2.2370120434292846, 2.5652008265837494, 2.504204772541121,
+    2.4322077294741424, 3.1489070237984045]
+
+
+class TestExactSamplers:
+    """Interiors of balls, ellipsoids, boxes and polytopes, and polytope
+    faces, are drawn exactly: their moments match closed forms, and each
+    returned point takes one candidate."""
+
+    SAMPLES = 200_000
+    Z = 5.0  # every moment below is checked at 5 standard errors
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplex_interior_moments(self, n):
+        body = presets.simplex(n, scale=1.5)
+        pts = cg.interior_points(body, self.SAMPLES, 3)
+        _vol, mean, second = oracles.simplex_moments(simplex_vertices(n, 1.5))
+        assert mean == pytest.approx(np.full(n, 1.5 / (n + 1)), rel=1e-14)
+        assert oracles.moment_errors(pts, mean, second).max() <= self.Z
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_simplex_face_moments(self, n):
+        body = presets.simplex(n)
+        vertices = simplex_vertices(n)
+        ids = np.arange(self.SAMPLES // 4, dtype=np.uint64)
+        for i, face in enumerate(body.faces):
+            pos, nrm, wgt, ok = body._stratum(i, rng.derive(4, i))(ids)
+            assert ok.all() and np.all(wgt == face.area)
+            assert np.all(nrm == -face.normal)
+            corners = on_face(vertices, face)
+            assert len(corners) == n
+            area, mean, second = oracles.simplex_moments(corners)
+            assert face.area == pytest.approx(area, rel=1e-13)
+            assert oracles.moment_errors(pos, mean, second).max() <= self.Z
+
+    def test_random_polytope_interior_moments(self):
+        # its faces are polygons: the draw picks a cone by height x area,
+        # then a cone of the polygon, then a point of an edge
+        body = presets.body_preset("random-polytope-n3")
+        assert isinstance(body._lattice[1], cg._Cone)
+        pts = cg.interior_points(body, self.SAMPLES, 5)
+        mean, second = oracles.polytope_moments(hull(body).points)
+        assert oracles.moment_errors(pts, mean, second).max() <= self.Z
+
+    def test_random_polytope_face_moments(self):
+        body = presets.body_preset("random-polytope-n3")
+        vertices = hull(body).points
+        ids = np.arange(self.SAMPLES // 4, dtype=np.uint64)
+        for i, face in enumerate(body.faces):
+            pos = body._stratum(i, rng.derive(6, i))(ids)[0]
+            assert np.abs(pos @ body.A.T - body.c).max(axis=0)[face.index] <= 1e-12
+            # the polygon's moments from a triangulation in its chart
+            Q = cg._complement(face.normal)
+            corners = on_face(vertices, face)
+            p0 = face.offset * face.normal
+            mean, second = oracles.polytope_moments((corners - p0) @ Q)
+            assert oracles.moment_errors((pos - p0) @ Q, mean, second).max() \
+                <= self.Z
+
+    @pytest.mark.parametrize("body", [
+        cg.Ball([0.5, -1.0], 2.0), cg.Ball([0.0, 1.0, 2.0], 0.5),
+        presets.unit_ball(5), presets.beck_ellipsoid(2),
+        cg.Ellipsoid([1.0, 0.0, -1.0], [0.5, 2.0, 1.0]), presets.beck_ellipsoid(4),
+    ], ids=["ball-n2", "ball-n3", "ball-n5", "ellipsoid-n2", "ellipsoid-n3",
+            "ellipsoid-n4"])
+    def test_ball_and_ellipsoid_interior_moments(self, body):
+        # y = (x - c) / R is uniform on the unit ball: E y = 0 and
+        # E y y^T = I / (n + 2), so E |y|^2 = n / (n + 2)
+        n = body.dimension
+        scale = body.radius if isinstance(body, cg.Ball) else body.semi_axes
+        y = (cg.interior_points(body, self.SAMPLES, 8) - body.center) / scale
+        assert np.all(np.einsum("ij,ij->i", y, y) <= 1.0 + 1e-12)
+        assert oracles.moment_errors(y, np.zeros(n), np.eye(n) / (n + 2)).max() \
+            <= self.Z
+        sq = np.einsum("ij,ij->i", y, y)
+        se = sq.std(ddof=1) / math.sqrt(len(sq))
+        assert abs(sq.mean() - n / (n + 2)) <= self.Z * se
+
+    def test_box_interior_is_the_former_rejection_draw(self):
+        # lo + u (hi - lo) on the key and slots of the bounding-box draw,
+        # which a box accepted whole
+        body = cg.Box([-1.0, 0.5, 2.0], [0.0, 3.0, 2.5])
+        ids = np.arange(5000, dtype=np.uint64)
+        expect = body.lower + rng.uniforms(12, ids, 0, 3) * (body.upper - body.lower)
+        assert np.array_equal(cg.interior_points(body, 5000, 12), expect)
+
+    @pytest.mark.parametrize("name", ["simplex-n2", "simplex-n3", "simplex-n4",
+                                      "random-polytope-n3"])
+    def test_lattice_volume_and_face_areas(self, name):
+        # the interior cone's terms, taken about the vertex centroid, sum
+        # to the volume about the Chebyshev centre; simplex faces have the
+        # Gram-determinant area
+        body = presets.body_preset(name)
+        n = body.dimension
+        vertices = hull(body).points
+        apex = vertices.mean(axis=0)
+        lattice = sum((f.offset - f.normal @ apex) * f.area for f in body.faces) / n
+        assert lattice == pytest.approx(body.volume_exact(), rel=1e-13)
+        if name.startswith("simplex"):
+            assert isinstance(body._lattice[1], cg._Simplex)
+            assert body.volume_exact() == pytest.approx(1.0 / math.factorial(n),
+                                                        rel=1e-13)
+            for face in body.faces:
+                area = oracles.simplex_moments(on_face(vertices, face))[0]
+                assert face.area == pytest.approx(area, rel=1e-13)
+        else:
+            assert [f.area for f in body.faces] == pytest.approx(
+                RANDOM_POLYTOPE_N3_AREAS, rel=1e-13)
+
+    SAMPLED = ["unit-ball-n2", "unit-ball-n3", "unit-ball-n5", "beck-ellipsoid-n4",
+               "unit-box-n3", "simplex-n4", "random-polytope-n3"]
+
+    @pytest.mark.parametrize("name", SAMPLED)
+    def test_one_candidate_per_point(self, name, monkeypatch):
+        body = presets.body_preset(name)
+        drawn = []
+        interior = body._interior_batch
+
+        def counted(key, ids):
+            drawn.append(len(ids))
+            return interior(key, ids)
+        monkeypatch.setattr(body, "_interior_batch", counted)
+        for count in (1, 512, 30_000):
+            drawn.clear()
+            assert len(cg.interior_points(body, count, 2)) == count
+            assert sum(drawn) == count
+        if isinstance(body, cg.Polytope):
+            stratum = body._stratum
+
+            def counted_stratum(index, key):
+                draw = stratum(index, key)
+                return lambda ids: (drawn.append(len(ids)), draw(ids))[1]
+            monkeypatch.setattr(body, "_stratum", counted_stratum)
+            for count in (5, 512, 30_000):
+                drawn.clear()
+                assert len(body.boundary_arrays(count, 3)[0]) == count
+                assert sum(drawn) == count
+                drawn.clear()
+                assert len(body.stratified_boundary(count, 4)[0]) == count
+                assert sum(drawn) == count
+
+    @pytest.mark.parametrize("name", SAMPLED + ["half-disk", "half-ball-n3"])
+    def test_one_point_is_the_first_of_many(self, name):
+        body = presets.body_preset(name)
+        many = cg.interior_points(body, 30_000, 9)
+        assert np.array_equal(cg.interior_points(body, 1, 9), many[:1])
+        assert body.contains_many(many).all()
+        pos, nrm, wgt = body.boundary_arrays(30_000, 10)
+        one = body.boundary_arrays(1, 10)
+        assert all(np.array_equal(a, b[:1]) for a, b in zip(one, (pos, nrm, wgt)))
+
+
+def half_space_cut(center, radius, normal, t):
+    """The ball cut by {a . x <= a . center + t R}."""
+    a = np.asarray(normal, dtype=float)
+    a /= np.linalg.norm(a)
+    center = np.asarray(center, dtype=float)
+    return cg.Intersection([
+        cg.Ball(center, radius),
+        cg.Polytope([(a, float(a @ center) + t * radius)], require_bounded=False)])
+
+
+class TestHalfBallClosedForms:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("t", [-0.9, -0.3, 0.0, 0.4, 0.99])
+    def test_against_quadrature(self, n, t):
+        gen = np.random.default_rng(100 * n + int(10 * t))
+        radius = 1.7
+        body = half_space_cut(gen.uniform(-1.0, 1.0, n), radius,
+                              gen.normal(size=n), t)
+        vol, area = oracles.half_ball_measures_mp(n, radius, t)
+        assert body.volume_exact() == pytest.approx(vol, rel=1e-13)
+        assert body.surface_area_exact() == pytest.approx(area, rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_half_ball(self, n):
+        from torsion_bound import analytic_library as al
+
+        body = presets.half_ball(n)
+        omega = al.omega(n)
+        flat = 2.0 if n == 2 else al.omega(n - 1)
+        assert body.volume_exact() == pytest.approx(omega / 2.0, rel=1e-14)
+        assert body.surface_area_exact() == pytest.approx(
+            al.unit_sphere_area(n) / 2.0 + flat, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1.0, 1.5, 40.0])
+    def test_plane_missing_the_ball(self, t):
+        from torsion_bound import analytic_library as al
+
+        for n in (2, 3, 5):
+            body = half_space_cut(np.zeros(n), 2.0, np.ones(n), t)
+            with np.errstate(all="raise"):
+                vol, area = body.volume_exact(), body.surface_area_exact()
+            assert vol == pytest.approx(al.ball_volume(n, 2.0), rel=1e-14)
+            assert area == pytest.approx(al.ball_surface_area(n, 2.0), rel=1e-14)
+
+    def test_other_intersections_stay_monte_carlo(self):
+        ball = cg.Ball([0.0, 0.0, 0.0], 1.0)
+        below = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.0)],
+                            require_bounded=False)
+        left = cg.Polytope([(np.array([-1.0, 0.0, 0.0]), 0.0)],
+                           require_bounded=False)
+        both = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.0),
+                            (np.array([-1.0, 0.0, 0.0]), 0.0)],
+                           require_bounded=False)
+        ellipsoid = cg.Ellipsoid([0.0, 0.0, 0.0], [1.0, 2.0, 0.5])
+        for body in (cg.Intersection([ball, below, left]),
+                     cg.Intersection([ball, both]),
+                     cg.Intersection([ellipsoid, below]),
+                     cg.Intersection([ball, cg.Ball([0.5, 0.0, 0.0], 1.0)])):
+            assert body.volume_exact() is None
+            assert body.surface_area_exact() is None
+            assert cg.volume(body, WosConfig(samples=1000, seed=1)).stderr > 0
 
 
 class TestInvariants:

@@ -54,6 +54,17 @@ class TestFunctionKinds:
             fd = oracles.fd_laplacian(f, x)
             assert fd == pytest.approx(s, rel=1e-6, abs=1e-6)
 
+    def test_polynomial_json_round_trip_is_bit_identical(self):
+        # the terms are kept sorted, the order to_json writes them in, so
+        # the clone adds them in the same order
+        body = presets.unit_box(3)
+        f = presets.harmonic_cubic(body)
+        clone = hh.fn_from_json(f.to_json(), 3)
+        assert list(clone.terms) == list(f.terms) == sorted(f.terms)
+        pts = cg.interior_points(body, 30_000, 5)
+        assert np.array_equal(clone.value(pts), f.value(pts))
+        assert np.array_equal(clone.laplacian(pts), f.laplacian(pts))
+
     def test_harmonic_cubic_is_harmonic(self):
         f = presets.harmonic_cubic(cg.Ball([0.0, 0.0], 1.0))
         assert not f._laplacian_terms

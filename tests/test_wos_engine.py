@@ -17,6 +17,17 @@ import oracles
 CFG = WosConfig(samples=10_000, seed=0)
 
 
+class TestWosConfig:
+    def test_samples_at_least_two(self):
+        # one value has no stderr, and a stderr of 0 marks an exact value
+        for samples in (1, 0, -3):
+            with pytest.raises(ValueError, match="samples must be >= 2"):
+                WosConfig(samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            CFG.replace(samples=1)
+        assert WosConfig(samples=2).samples == 2
+
+
 class TestTorsionValue:
     def test_ball_center_n2(self):
         est = wos.torsion_value(cg.Ball([0.0, 0.0], 1.0), [0.0, 0.0], CFG)
