@@ -82,10 +82,10 @@ def write_report(out_path, fmt: str, header: dict, rows: list[dict]) -> str:
     """Serialize rows (+ header for JSON) and optionally write to a file.
 
     The JSON body and the whole CSV are deterministic; only the JSON
-    header carries the timestamp."""
+    header carries the timestamp; a non-finite float raises ValueError."""
     if fmt == "json":
         doc = {"header": header, "rows": rows}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         columns = header.get("columns", CSV_COLUMNS)

@@ -400,6 +400,13 @@ def _cert_probes(body: cg.ConvexBody, seed: int):
 # certificates
 
 
+def _anchors(fn: SubharmonicFn) -> list[np.ndarray]:
+    """The anchor of every shifted norm in fn, at any combination depth."""
+    if isinstance(fn, PositiveCombination):
+        return [a for _w, part in fn.parts for a in _anchors(part)]
+    return [fn.anchor] if isinstance(fn, ShiftedNorm) else []
+
+
 def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
                         seed: int = 0) -> None:
     """Check lap f >= -tol on _CERT_PROBES interior probe points (exact for
@@ -408,14 +415,10 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
 
     The probes are keyed by (seed, probe index) only; they are those of
     the held sample set when it belongs to this body and seed."""
-    if isinstance(fn, ShiftedNorm) and cg.contains(body, fn.anchor):
-        raise CertificateError("shifted-norm anchor lies inside the body",
-                               fn.anchor)
-    if isinstance(fn, PositiveCombination):
-        for _w, part in fn.parts:
-            if isinstance(part, ShiftedNorm) and cg.contains(body, part.anchor):
-                raise CertificateError(
-                    "shifted-norm anchor lies inside the body", part.anchor)
+    for anchor in _anchors(fn):
+        if cg.contains(body, anchor):
+            raise CertificateError("shifted-norm anchor lies inside the body",
+                                   anchor)
     pts = _cert_probes(body, seed)[0]
     lap = fn.laplacian(pts)
     worst = int(np.argmin(lap))
@@ -480,7 +483,8 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     """Check int_Omega f <= (sqrt(2)/pi) vol^{1/n} int_dOmega f after both
     certificates pass; the report carries the achieved ratio
     lhs / (vol^{1/n} rhs) for sharpness tracking, with its first-order
-    stderr ratio * hypot(rel. stderr of lhs, rel. stderr of the bound).
+    stderr ratio * hypot(rel. stderr of lhs, rel. stderr of the bound);
+    both are None when the boundary integral is 0.
 
     Certificates, integrals and the volume all use the sample set of
     (body, cfg.seed, cfg.samples), so calls on one body with several
@@ -498,12 +502,11 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
         GRADIENT_CONSTANT * root * rhs.stderr,
         GRADIENT_CONSTANT * rhs.mean * root * vol.stderr / (n * vol.mean)
         if vol.stderr else 0.0)
+    ratio = ratio_se = None  # undefined when the boundary integral is 0
     if rhs.mean != 0:
         ratio = lhs.mean / (root * rhs.mean)
         ratio_se = math.hypot(lhs.stderr / (root * rhs.mean),
                               ratio * bound_se / bound)
-    else:
-        ratio = ratio_se = math.inf
     return make_report(
         "hermite_hadamard", lhs, bound,
         provenance="solid integral <= (sqrt(2)/pi) vol^(1/n) boundary integral "

@@ -79,17 +79,18 @@ _BODY_BUILDERS = {
     "beck-ellipsoid": (beck_ellipsoid, range(2, 7)),
     "simplex": (simplex, range(2, 5)),
     "half-ball": (half_ball, range(2, 5)),
+    "random-polytope": (lambda n: random_polytope(
+        n, faces=8, seed=_RANDOM_POLYTOPE_KEY), range(3, 4)),
 }
 
 
 def body_preset(name: str, n: int | None = None) -> cg.ConvexBody:
-    """Resolve a preset name like 'unit-ball-n3', or 'unit-ball' with n."""
-    if name == "half-disk":
-        return half_ball(2)
-    if name == "random-polytope-n3":
-        return random_polytope(3, faces=8, seed=_RANDOM_POLYTOPE_KEY)
-    match = re.fullmatch(r"(.+)-n(\d+)", name)
+    """Resolve 'unit-ball-n3' (a given n must be 3) or 'unit-ball' with n."""
+    alias = {"half-disk": "half-ball-n2"}.get(name, name)
+    match = re.fullmatch(r"(.+)-n(\d+)", alias)
     if match and match.group(1) in _BODY_BUILDERS:
+        if n not in (None, int(match.group(2))):
+            raise ValueError(f"preset {name!r} has n = {match.group(2)}, not {n}")
         name, n = match.group(1), int(match.group(2))
     if name in _BODY_BUILDERS:
         builder, valid = _BODY_BUILDERS[name]

@@ -61,18 +61,12 @@ def derive(key: int, *words: int) -> int:
     """Fold integer words into ``key``, returning a new 64-bit key.
 
     Used to split one user seed into independent sub-streams per
-    operation, probe point, or member index.
+    operation, attempt, or member index.
     """
     z = _mix_int((int(key) ^ 0xA076_1D64_78BD_642F) & _MASK)
     for w in words:
         z = _mix_int((z + (int(w) & _MASK) * _GOLDEN) & _MASK)
     return z
-
-
-def derive_from_floats(key: int, values) -> int:
-    """Fold float64 bit patterns into ``key`` (stable across runs)."""
-    bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
-    return derive(key, *(int(b) for b in bits))
 
 
 def unit_keys(key: int, units: np.ndarray) -> np.ndarray:

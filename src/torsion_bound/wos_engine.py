@@ -11,9 +11,9 @@ estimate stays conservative, and are counted in truncated_fraction.
 
 All walks from one start advance together in one loop that drops walks
 from its arrays as they absorb; very large sample counts run in blocks of
-walk indices to bound memory.  Randomness is keyed by (seed, start point,
-walk index, step), each walk's key derived once (``rng.unit_keys``), so
-every block size reproduces the same per-walk values bit for bit.
+walk indices to bound memory.  Randomness is keyed by (seed, walk index,
+step), never by the start point, each walk's key derived once
+(``rng.unit_keys``), so every block size gives the same per-walk values.
 
 The gradient maximum probes each point of the body's stratified boundary
 sample (``ConvexBody.stratified_boundary``) once and keeps the largest
@@ -99,10 +99,9 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
 
     Requires x deeper than the absorbing shell.  The per-walk results do
     not depend on the block size, so neither does the returned Estimate.
-    The walks are keyed by the seed and the bits of x, so a start that
-    moves by one ulp (say, a boundary sample from a face table that
-    changed in its last bit) draws fresh walks: its estimate moves by
-    about a standard error, not by an ulp.
+    Walk i draws from (cfg.seed, i) alone, whatever x is: calls that share
+    a cfg share walks (common random numbers), and a caller that needs
+    independent estimates passes ``cfg.replace(seed=...)`` per call.
     """
     x = np.asarray(x, dtype=float)
     if not cg.contains(body, x):
@@ -110,7 +109,7 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
     shell = cfg.shell_width * body.diameter
     if cg.distance_to_boundary(body, x) <= shell:
         raise ValueError("start point lies inside the absorbing shell")
-    key = rng.derive_from_floats(rng.derive(cfg.seed, _TAG_TORSION), x)
+    key = rng.derive(cfg.seed, _TAG_TORSION)
     values = np.empty(cfg.samples)
     truncated = sum(
         _torsion_block(body, x, cfg, key, lo, min(lo + _BLOCK, cfg.samples),
@@ -164,12 +163,13 @@ def normal_derivative(body: ConvexBody, bp: BoundaryPoint,
 
 @dataclass(frozen=True)
 class MaxNormalDerivative:
-    """Sampled maximum of the inward normal derivative: the largest of
-    many noisy probe estimates, so it is biased upward as an estimate of
-    the true boundary maximum, and ``estimate.stderr`` is that one probe's
-    stderr, which understates the spread of the maximum.  ``evaluations``
-    probes were estimated and ``rejected`` were skipped as corner-pinched;
-    together they are the boundary sample's size."""
+    """Sampled maximum of the inward normal derivative: the largest of many
+    noisy probe estimates, so it is biased upward as an estimate of the true
+    boundary maximum, and ``estimate.stderr`` is that one probe's stderr,
+    which understates the spread of the maximum.  The probes share walks,
+    which narrows that bias but does not remove it.  ``evaluations`` probes
+    were estimated and ``rejected`` were skipped as corner-pinched; together
+    they are the boundary sample's size."""
 
     estimate: Estimate
     location: np.ndarray
@@ -182,7 +182,8 @@ def max_normal_derivative(body: ConvexBody, cfg: WosConfig,
                           boundary_samples: int) -> MaxNormalDerivative:
     """Maximize the inward normal derivative over the body's stratified
     boundary sample: one probe per point, skipping (and counting)
-    corner-pinched points, keeping the largest estimate."""
+    corner-pinched points, keeping the largest estimate.  All probes run
+    the walks of cfg, so their errors are correlated (common random numbers)."""
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
     pos, nrm = body.stratified_boundary(boundary_samples,

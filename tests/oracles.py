@@ -471,7 +471,7 @@ def torsion_value_per_step(body, x, cfg):
     from torsion_bound.estimates import Estimate
 
     x = np.asarray(x, dtype=float)
-    key = rng.derive_from_floats(rng.derive(cfg.seed, wos._TAG_TORSION), x)
+    key = rng.derive(cfg.seed, wos._TAG_TORSION)
     values = np.empty(cfg.samples)
     truncated = sum(
         _torsion_block_per_step(body, x, cfg, key, lo,

@@ -79,6 +79,24 @@ class TestVerifyHh:
                     "--out", str(out)] + BASE)
         assert code == 0
 
+    def test_zero_boundary_integral_writes_strict_json(self, tmp_path):
+        # the ratio is undefined, and the report must stay strict JSON
+        fn_path = tmp_path / "zero.json"
+        fn_path.write_text(json.dumps(
+            {"kind": "affine", "constant": 0, "linear": [0, 0]}))
+        out = tmp_path / "r.json"
+        code = run(["verify-hh", "--body", "unit-ball-n2", "--fn",
+                    str(fn_path), "--boundary-samples", "8",
+                    "--out", str(out)] + BASE)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        extra = doc["rows"][0]["extra"]
+        assert extra["ratio"] is None and extra["ratio_stderr"] is None
+
 
 class TestGradient:
     def test_unit_ball_n4(self, tmp_path):
@@ -191,6 +209,33 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "fd_delta" in err
+
+    @pytest.mark.parametrize("body, n", [("unit-ball-n3", "5"),
+                                         ("half-disk", "4")])
+    def test_conflicting_n_exits_2_with_one_line(self, capsys, body, n):
+        assert run(["gradient", "--body", body, "--n", n] + BASE) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_matching_n_accepted(self):
+        assert run(["gradient", "--body", "unit-ball-n3", "--n", "3",
+                    "--samples", "200", "--boundary-samples", "2"]) == 0
+
+    def test_nested_anchor_inside_exits_2_with_one_line(self, tmp_path,
+                                                        capsys):
+        fn_doc = {"kind": "shifted_norm", "anchor": [0, 0]}
+        for _ in range(2):
+            fn_doc = {"kind": "positive_combination",
+                      "terms": [{"weight": 1, "fn": fn_doc}]}
+        fn_path = tmp_path / "fn.json"
+        fn_path.write_text(json.dumps(fn_doc))
+        code = run(["verify-hh", "--body", "unit-ball-n2", "--fn",
+                    str(fn_path), "--boundary-samples", "8"] + BASE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: shifted-norm anchor lies inside the body\n"
 
     def test_bad_json_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -220,6 +220,17 @@ class TestCertificates:
             hh.certify_subharmonic(cg.Ball([0.0, 0.0], 1.0),
                                    hh.ShiftedNorm([0.5, 0.0]))
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_anchor_inside_rejected_at_any_depth(self, depth):
+        # (n - 1)/|x - a| is positive at every probe: only the anchor
+        # check rejects this function
+        fn = hh.ShiftedNorm([0.0, 0.0])
+        for _ in range(depth):
+            fn = hh.PositiveCombination([(1.0, fn)])
+        with pytest.raises(hh.CertificateError, match="anchor") as err:
+            hh.certify_subharmonic(cg.Ball([0.0, 0.0], 1.0), fn)
+        assert np.array_equal(err.value.witness, [0.0, 0.0])
+
     def test_sign_changing_inside_accepted(self):
         # negative deep inside, nonnegative on the boundary: admissible
         body = cg.Ball([0.0, 0.0], 1.0)
@@ -346,6 +357,13 @@ class TestVerifyTheorem1:
         assert rc.margin == pytest.approx(2.0 * r1.margin + 0.5 * r2.margin,
                                           rel=1e-9)
 
+
+    def test_ratio_undefined_when_boundary_integral_vanishes(self):
+        rep = hh.verify_theorem1(cg.Ball([0.0, 0.0], 1.0),
+                                 hh.Affine(0.0, [0.0, 0.0]), FAST)
+        assert rep.details["boundary_integral"] == 0.0
+        assert rep.details["ratio"] is None
+        assert rep.details["ratio_stderr"] is None
 
     def test_ratio_and_boundary_integral_stderr(self):
         body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])

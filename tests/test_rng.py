@@ -113,12 +113,6 @@ class TestDerive:
                 rng.derive(2), rng.derive(1, 0, 0)}
         assert len(seen) == 5
 
-    def test_derive_from_floats(self):
-        x = np.array([0.1, -2.5])
-        assert rng.derive_from_floats(9, x) == rng.derive_from_floats(9, x)
-        assert (rng.derive_from_floats(9, x)
-                != rng.derive_from_floats(9, x + 1e-12))
-
 
 class TestPathGenerator:
     def test_independent_and_reproducible(self):

@@ -112,6 +112,18 @@ class TestTorsionValue:
                 assert wos.torsion_value(body, x, CFG) == a
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("name", [
+        "random-polytope-n3", "beck-ellipsoid-n4", "half-disk", "simplex-n4"])
+    def test_continuous_in_the_start(self, name):
+        # walks are keyed by the seed and walk index, not by the start's
+        # bits, so a one-ulp move of the start moves the estimate by ulps
+        body = presets.body_preset(name)
+        x = body.interior_point()
+        a = wos.torsion_value(body, x, CFG)
+        b = wos.torsion_value(body, np.nextafter(x, np.inf), CFG)
+        assert b.mean == pytest.approx(a.mean, rel=1e-12, abs=0.0)
+        assert b.stderr == pytest.approx(a.stderr, rel=1e-12, abs=0.0)
+
     def test_shell_halving_stable(self):
         body = presets.half_ball(2)
         x = np.array([0.0, 0.4])
