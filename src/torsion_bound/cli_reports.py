@@ -121,14 +121,18 @@ def _build_config(args) -> WosConfig:
 
 
 def _resolve_body(args):
-    """--body is a preset name or a JSON file path."""
+    """--body is a preset name or a JSON file path; a given --n must be
+    the body's dimension."""
     spec = args.body
     if spec is None:
         raise ValueError("--body is required (preset name or JSON path)")
     path = Path(spec)
     if spec.endswith(".json") or path.is_file():
-        doc = json.loads(path.read_text())
-        return spec, cg.body_from_json(doc)
+        body = cg.body_from_json(json.loads(path.read_text()))
+        if args.n not in (None, body.dimension):
+            raise ValueError(f"body {spec!r} has n = {body.dimension}, "
+                             f"not {args.n}")
+        return spec, body
     return spec, presets.body_preset(spec, n=args.n)
 
 
@@ -162,6 +166,10 @@ def cmd_verify_hh(args) -> int:
     cfg = _build_config(args)
     if args.preset:
         body_name, fn_name = presets.PAIR_PRESETS[args.preset]
+        if args.body not in (None, body_name) or args.fn not in (None, fn_name):
+            raise ValueError(f"--preset {args.preset} is --body {body_name} "
+                             f"--fn {fn_name}, not --body {args.body} "
+                             f"--fn {args.fn}")
         args.body, args.fn = body_name, fn_name
     body_name, body = _resolve_body(args)
     fn_name, fn = _resolve_fn(args, body)
@@ -394,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", default=None)
     p.add_argument("--fn", default=None)
     p.add_argument("--preset", choices=sorted(presets.PAIR_PRESETS),
-                   default=None, help="named (body, fn) pair")
+                   default=None, help="named (body, fn) pair; a --body or "
+                                      "--fn given with it must name the same")
     p.add_argument("--boundary-samples", type=int, default=64)
     p.set_defaults(func=cmd_verify_hh)
 

@@ -20,6 +20,11 @@ ellipsoids, boxes and polytopes draw their interiors, and polytopes their
 faces, exactly: one candidate per returned point.  Intersections draw
 their interiors by bounding-box rejection.
 
+Balls, ellipsoids, boxes and polytopes have cubature rules (``cubature``)
+that integrate every polynomial up to CUBATURE_MAX_DEGREE exactly over
+the body, and all but ellipsoids over the boundary too
+(``boundary_cubature``).
+
 JSON schema (round-trips losslessly):
 
     {"dimension": n, "shape": {"type": "ball", "center": [...], "radius": r}}
@@ -43,12 +48,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 from scipy.spatial import HalfspaceIntersection, QhullError
-from scipy.special import betainc, betaincc
+from scipy.special import betainc, betaincc, roots_jacobi, roots_legendre
 
 from . import rng
 from .analytic_library import ball_surface_area, ball_volume, unit_sphere_area
@@ -67,6 +73,9 @@ _TOL = 1e-12
 # diameters of the origin.
 _VERTEX_TOL = 1e-13
 _VERTEX_ROUNDING = 64 * np.finfo(float).eps
+# Highest total degree of the cubature rules; each is tested on every
+# monomial up to it, and above it the callers sample.
+CUBATURE_MAX_DEGREE = 8
 # operation tags for stream derivation
 _OP_VOLUME = 102
 _OP_AREA = 103
@@ -206,6 +215,18 @@ class ConvexBody:
         pos, nrm = zip(*parts)
         return np.concatenate(pos), np.concatenate(nrm)
 
+    # -- exact cubature -----------------------------------------------------
+
+    def _cubature(self, degree: int):
+        """(nodes, weights) with sum_i w_i f(x_i) the integral of f over
+        the body for every polynomial f of total degree <= degree, or None
+        when the body has no rule (intersections)."""
+        return None
+
+    def _boundary_cubature(self, degree: int):
+        """The same over the boundary, or None (ellipsoids, intersections)."""
+        return None
+
     # -- serialization ---------------------------------------------------
 
     def shape_json(self) -> dict:
@@ -276,6 +297,100 @@ def _unit_ball_points(key: int, ids: np.ndarray, n: int) -> np.ndarray:
     return rng.unit_vectors(key, ids, 0, n) * radius[:, None]
 
 
+# ---------------------------------------------------------------------------
+# Exact cubature: reference rules, exact for every polynomial of total
+# degree <= degree.  Each takes degree // 2 + 1 Gauss points per
+# one-dimensional factor (exact to degree 2 (degree // 2) + 1).
+
+
+@lru_cache(maxsize=None)
+def _interval_rule(degree: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = roots_legendre(degree // 2 + 1)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _tensor_rule(lower: np.ndarray, upper: np.ndarray, degree: int):
+    """Tensor Gauss-Legendre rule on the box [lower, upper]."""
+    x, w = _interval_rule(degree)
+    ext = upper - lower
+    grids = np.meshgrid(*[lo + e * x for lo, e in zip(lower, ext)],
+                        indexing="ij")
+    weights = np.ones(())
+    for e in ext:
+        weights = np.multiply.outer(weights, e * w)
+    return np.column_stack([g.ravel() for g in grids]), weights.ravel()
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(n: int, degree: int):
+    """Nodes and weights on the unit sphere S^(n-1).  On the circle,
+    degree + 1 equally spaced points.  For n >= 3, x = (t, sqrt(1 - t^2) y)
+    with y on S^(n-2): the surface measure is (1 - t^2)^((n-3)/2) dt
+    d(sigma_(n-2)), so a Gauss-Jacobi rule in t times the rule on S^(n-2).
+    A monomial odd in y integrates to 0 on the inner rule; the others are
+    polynomials in t of degree <= degree."""
+    if n == 2:
+        theta = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
+        return (np.column_stack((np.cos(theta), np.sin(theta))),
+                np.full(degree + 1, 2.0 * math.pi / (degree + 1)))
+    a = 0.5 * (n - 3)
+    t, wt = roots_jacobi(degree // 2 + 1, a, a)
+    y, wy = _sphere_rule(n - 1, degree)
+    ring = np.sqrt((1.0 - t) * (1.0 + t))
+    nodes = np.hstack((np.repeat(t, len(y))[:, None],
+                       (ring[:, None, None] * y).reshape(-1, n - 1)))
+    return nodes, np.outer(wt, wy).ravel()
+
+
+@lru_cache(maxsize=None)
+def _ball_rule(n: int, degree: int):
+    """Nodes and weights on the unit ball: radius r = (1 + s)/2 from a
+    Gauss-Jacobi rule in s with weight (1 + s)^(n-1), so r^(n-1) dr, times
+    the sphere rule."""
+    s, ws = roots_jacobi(degree // 2 + 1, 0.0, n - 1.0)
+    y, wy = _sphere_rule(n, degree)
+    nodes = (0.5 * (1.0 + s)[:, None, None] * y).reshape(-1, n)
+    return nodes, np.outer(ws / 2.0 ** n, wy).ravel()
+
+
+@lru_cache(maxsize=None)
+def _simplex_rule(d: int, degree: int):
+    """Grundmann-Moeller rule of degree 2s + 1, s = degree // 2, on a
+    d-simplex (A. Grundmann & H. M. Moeller, SIAM J. Numer. Anal. 15,
+    1978, Theorem 4): barycentric coordinates (one row per node) and
+    weights summing to 1.  For i = 0..s and every beta in N^(d+1) with
+    |beta| = s - i, the node (2 beta + 1)/(2s + 1 + d - 2i) has weight
+    (-1)^i (2s + 1 + d - 2i)^(2s+1) d! / (4^s i! (2s + 1 + d - i)!).
+    The weights alternate in sign with i; CUBATURE_MAX_DEGREE keeps the
+    cancellation below 1e-13 relative."""
+    s = degree // 2
+    top = 2 * s + 1
+    bary, weights = [], []
+    for i in range(s + 1):
+        # a quotient of exact integers, correctly rounded
+        w = ((-1) ** i * (top + d - 2 * i) ** top * math.factorial(d)
+             / (4 ** s * math.factorial(i) * math.factorial(top + d - i)))
+        for picks in combinations_with_replacement(range(d + 1), s - i):
+            beta = np.bincount(np.array(picks, dtype=int), minlength=d + 1)
+            bary.append((2 * beta + 1) / (top + d - 2 * i))
+            weights.append(w)
+    return np.array(bary), np.array(weights)
+
+
+def _simplices_rule(vertices: np.ndarray, degree: int):
+    """The simplex rule on each simplex of ``vertices`` (k, d + 1, n),
+    weighted by its d-measure, the Gram determinant sqrt(det(E E^T))/d!
+    of its edges E."""
+    d = vertices.shape[1] - 1
+    edges = vertices[:, 1:] - vertices[:, :1]
+    gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+    measure = np.sqrt(np.abs(gram)) / math.factorial(d)
+    bary, w = _simplex_rule(d, degree)
+    nodes = np.einsum("qj,kjn->kqn", bary, vertices)
+    return nodes.reshape(-1, vertices.shape[2]), np.outer(measure, w).ravel()
+
+
 class Ball(ConvexBody):
     def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
@@ -326,6 +441,15 @@ class Ball(ConvexBody):
         pos = self.center + self.radius * dirs
         wgt = np.full(len(ids), self.surface_area_exact())
         return pos, -dirs, wgt, np.ones(len(ids), dtype=bool)
+
+    def _cubature(self, degree):
+        y, w = _ball_rule(self.dimension, degree)
+        return self.center + self.radius * y, w * self.radius ** self.dimension
+
+    def _boundary_cubature(self, degree):
+        y, w = _sphere_rule(self.dimension, degree)
+        return (self.center + self.radius * y,
+                w * self.radius ** (self.dimension - 1))
 
     def shape_json(self):
         return {"type": "ball", "center": self.center.tolist(),
@@ -425,6 +549,13 @@ class Ellipsoid(ConvexBody):
         nrm = -grad / np.linalg.norm(grad, axis=1)[:, None]
         return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
 
+    def _cubature(self, degree):
+        # the axis scaling of the unit ball's rule; the boundary has none,
+        # as its surface Jacobian is not a polynomial
+        y, w = _ball_rule(self.dimension, degree)
+        return (self.center + self.semi_axes * y,
+                w * float(np.prod(self.semi_axes)))
+
     def shape_json(self):
         return {"type": "ellipsoid", "center": self.center.tolist(),
                 "semi_axes": self.semi_axes.tolist()}
@@ -508,6 +639,21 @@ class Box(ConvexBody):
             return (pos, np.tile(normal, (len(ids), 1)), np.full(len(ids), area),
                     np.ones(len(ids), dtype=bool))
         return draw
+
+    def _cubature(self, degree):
+        return _tensor_rule(self.lower, self.upper, degree)
+
+    def _boundary_cubature(self, degree):
+        nodes, weights = [], []
+        for k, side, _area, _normal in self._face_table:
+            other = [j for j in range(self.dimension) if j != k]
+            face, w = _tensor_rule(self.lower[other], self.upper[other], degree)
+            pos = np.empty((len(face), self.dimension))
+            pos[:, other] = face
+            pos[:, k] = self.lower[k] if side == 0 else self.upper[k]
+            nodes.append(pos)
+            weights.append(w)
+        return np.concatenate(nodes), np.concatenate(weights)
 
     def shape_json(self):
         return {"type": "box", "lower": self.lower.tolist(),
@@ -681,6 +827,15 @@ def _cone(dim: int, apex: np.ndarray, weights: list, facets: list):
     cum = np.cumsum([w for w, _f in keep])
     return _Cone(dim, apex, cum / cum[-1], tuple(f for _w, f in keep),
                  2 + max(f.slots for _w, f in keep))
+
+
+def _simplices(sampler) -> list[np.ndarray]:
+    """Vertex arrays of the simplices a face sampler is the union of: a
+    _Simplex itself, a _Cone the joins of its apex with its facets'."""
+    if isinstance(sampler, _Simplex):
+        return [sampler.vertices]
+    return [np.vstack((sampler.apex, v)) for f in sampler.facets
+            for v in _simplices(f)]
 
 
 def _face_lattice(A, c, Y, on, ids, vertices, memo):
@@ -891,6 +1046,19 @@ class Polytope(ConvexBody):
         sampler = self._lattice[1]
         return (sampler.draw(_uniform_slots(key, ids, sampler.slots), 0),
                 np.ones(len(ids), dtype=bool))
+
+    @cached_property
+    def _triangulation(self):
+        """Vertex arrays (k, d + 1, n) of the simplices the interior
+        sampler and the face samplers are unions of."""
+        faces = [v for f in self.faces for v in _simplices(f.sampler)]
+        return np.array(_simplices(self._lattice[1])), np.array(faces)
+
+    def _cubature(self, degree):
+        return _simplices_rule(self._triangulation[0], degree)
+
+    def _boundary_cubature(self, degree):
+        return _simplices_rule(self._triangulation[1], degree)
 
     def shape_json(self):
         return {"type": "polytope",
@@ -1160,6 +1328,34 @@ def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
         _, _, wgt, ok = body._boundary_batch(key, ids)
         vals[start:start + len(ids)] = wgt * ok
     return Estimate.from_values(vals)
+
+
+def _rule(rule, degree: int):
+    if not 0 <= degree <= CUBATURE_MAX_DEGREE:
+        return None
+    out = rule(degree)
+    if out is not None:
+        for a in out:
+            a.flags.writeable = False
+    return out
+
+
+def cubature(body: ConvexBody, degree: int):
+    """(nodes, weights), read-only, with sum_i w_i f(x_i) the integral of
+    f over the body for every polynomial f of total degree <= degree, or
+    None.  Balls and ellipsoids take a radial Gauss-Jacobi rule times a
+    spherical product rule, boxes tensor Gauss-Legendre, polytopes a
+    Grundmann-Moeller rule on each simplex of their face lattice.
+    Intersections and degrees outside 0..CUBATURE_MAX_DEGREE get None."""
+    return _rule(body._cubature, degree)
+
+
+def boundary_cubature(body: ConvexBody, degree: int):
+    """The same for the integral over the boundary: the spherical rule on
+    balls, tensor Gauss-Legendre on each box face, Grundmann-Moeller on
+    the simplices of each polytope face.  Ellipsoids and intersections get
+    None."""
+    return _rule(body._boundary_cubature, degree)
 
 
 def interior_points(body: ConvexBody, count: int, key: int) -> np.ndarray:

@@ -11,6 +11,16 @@ verify_theorem1 checks   int_Omega f  <=  (sqrt(2)/pi) vol^{1/n} int_dOmega f
 and hh_via_torsion checks the sharper intermediate inequality with the
 sampled maximum of the torsion function's inward normal derivative.
 
+Exact integrals.  A polynomial f (affine, quadratic, harmonic polynomial,
+or a positive combination of these) reports its total degree.  Up to
+cg.CUBATURE_MAX_DEGREE its solid integral over a ball, ellipsoid, box or
+polytope, and its boundary integral over a ball, box or polytope, is a
+cubature rule's weighted sum (cg.cubature, cg.boundary_cubature) when the
+rule has at most cfg.samples nodes; the Estimate then has stderr 0, which
+marks it exact.  Everything else is sampled: shifted norms and
+combinations holding one, higher degrees, ellipsoid boundaries and
+intersections (the half-balls among them).
+
 Shared draws.  Every sample the checks use depends on the body and the
 seed, never on f: the 512 interior and 512 boundary certificate probes
 (keyed by (seed, _TAG_CERT, 1 or 2)), the cfg.samples uniform interior
@@ -130,6 +140,8 @@ def _poly_laplacian(terms: dict, n: int) -> dict:
 
 class SubharmonicFn:
     kind: str
+    # total degree of a polynomial f, None for any other f
+    degree: int | None = None
 
     def value(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,6 +160,7 @@ class Affine(SubharmonicFn):
     """constant + linear . x; harmonic, hence admissible."""
 
     kind = "affine"
+    degree = 1
 
     def __init__(self, constant: float, linear):
         self.constant = float(constant)
@@ -168,6 +181,7 @@ class Quadratic(SubharmonicFn):
     """|x - center|^2 + linear . x + constant; Laplacian 2n everywhere."""
 
     kind = "quadratic"
+    degree = 2
 
     def __init__(self, center, constant: float = 0.0, linear=None):
         self.center = np.asarray(center, dtype=float)
@@ -209,6 +223,7 @@ class HarmonicPolynomial(SubharmonicFn):
         self.terms = dict(sorted((tuple(int(p) for p in k), float(v))
                                  for k, v in terms.items()))
         self._laplacian_terms = _poly_laplacian(self.terms, self.dimension)
+        self.degree = max(map(sum, self.terms), default=0)
 
     def value(self, X):
         return _poly_eval(self.terms, X)
@@ -251,6 +266,12 @@ class PositiveCombination(SubharmonicFn):
         if any(w < 0 for w, _ in parts):
             raise ValueError("combination weights must be nonnegative")
         self.parts = parts
+
+    @property
+    def degree(self):
+        """The largest degree of the parts when all are polynomials."""
+        degrees = [fn.degree for _w, fn in self.parts]
+        return None if None in degrees else max(degrees, default=0)
 
     def value(self, X):
         out = np.zeros(len(X))
@@ -446,10 +467,29 @@ def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
 # integrals
 
 
+def _exact_rule(rule, body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig):
+    """The body's cubature of fn's degree (``rule`` is cg.cubature or
+    cg.boundary_cubature) when fn is a polynomial and the rule has at most
+    cfg.samples nodes; None otherwise."""
+    if fn.degree is None:
+        return None
+    out = rule(body, fn.degree)
+    return out if out is not None and len(out[1]) <= cfg.samples else None
+
+
 def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
                     cfg: WosConfig) -> Estimate:
-    """Mean of f over uniform interior samples times the body volume; both
-    come from the sample set of (body, cfg.seed, cfg.samples)."""
+    """The integral of f over the body.
+
+    Exact, with stderr 0, when f is a polynomial (``fn.degree`` is not
+    None) of degree at most cg.CUBATURE_MAX_DEGREE on a ball, ellipsoid,
+    box or polytope whose rule (cg.cubature) has at most cfg.samples
+    nodes: the weighted sum of f at the nodes.  Otherwise the mean of f
+    over uniform interior samples times the body volume; both come from
+    the sample set of (body, cfg.seed, cfg.samples)."""
+    rule = _exact_rule(cg.cubature, body, fn, cfg)
+    if rule is not None:
+        return Estimate.exact(rule[1] @ fn.value(rule[0]))
     s = _sample_set(body, cfg)
     return product_estimate(Estimate.from_values(fn.value(s.interior)),
                             s.volume)
@@ -457,10 +497,17 @@ def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
 
 def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
                       cfg: WosConfig) -> Estimate:
-    """Importance-weighted mean of f over boundary samples times the
-    surface area; the stderr includes the weight variance (delta method
-    on the self-normalized ratio).  Samples, weights and area come from
-    the sample set of (body, cfg.seed, cfg.samples)."""
+    """The integral of f over the boundary.
+
+    Exact, with stderr 0, as in volume_integral, on balls, boxes and
+    polytopes (cg.boundary_cubature); an ellipsoid's boundary has no rule.
+    Otherwise the importance-weighted mean of f over boundary samples
+    times the surface area; the stderr includes the weight variance (delta
+    method on the self-normalized ratio).  Samples, weights and area come
+    from the sample set of (body, cfg.seed, cfg.samples)."""
+    rule = _exact_rule(cg.boundary_cubature, body, fn, cfg)
+    if rule is not None:
+        return Estimate.exact(rule[1] @ fn.value(rule[0]))
     s = _sample_set(body, cfg)
     wgt = s.weights
     vals = fn.value(s.boundary)
@@ -485,6 +532,13 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     lhs / (vol^{1/n} rhs) for sharpness tracking, with its first-order
     stderr ratio * hypot(rel. stderr of lhs, rel. stderr of the bound);
     both are None when the boundary integral is 0.
+
+    A stderr of 0 marks an exact side: a polynomial f's solid integral on
+    a ball, ellipsoid, box or polytope, and its bound on a ball, box or
+    polytope (see volume_integral and boundary_integral).  On an ellipsoid
+    the bound stays sampled, as its boundary has no rule and its area is
+    a Monte Carlo estimate; half-balls and shifted norms are sampled on
+    both sides.
 
     Certificates, integrals and the volume all use the sample set of
     (body, cfg.seed, cfg.samples), so calls on one body with several

@@ -223,6 +223,55 @@ class TestDeterminismAndErrors:
         assert run(["gradient", "--body", "unit-ball-n3", "--n", "3",
                     "--samples", "200", "--boundary-samples", "2"]) == 0
 
+    @staticmethod
+    def box_file(tmp_path):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"dimension": 2, "shape": {
+            "type": "box", "lower": [0, 0], "upper": [1, 1]}}))
+        return str(path)
+
+    def test_json_body_conflicting_n_exits_2_with_one_line(self, tmp_path,
+                                                           capsys):
+        code = run(["gradient", "--body", self.box_file(tmp_path), "--n", "5"]
+                   + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "n = 2, not 5" in captured.err
+
+    def test_json_body_matching_n_accepted(self, tmp_path):
+        assert run(["gradient", "--body", self.box_file(tmp_path), "--n", "2",
+                    "--samples", "200", "--boundary-samples", "2"]) == 0
+
+    @pytest.mark.parametrize("extra", [
+        ["--body", "unit-box-n3", "--fn", "shifted-norm"],
+        ["--body", "unit-box-n3"],
+        ["--fn", "shifted-norm"],
+        ["--body", "half-disk", "--fn", "shifted-norm"],
+    ])
+    def test_preset_with_another_pair_exits_2_with_one_line(self, capsys,
+                                                            extra):
+        code = run(["verify-hh", "--preset", "half-disk-affine",
+                    "--boundary-samples", "2"] + extra + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --preset half-disk-affine ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--body", "half-disk"], ["--body", "half-disk", "--fn",
+                                      "height-affine"]])
+    def test_preset_alone_or_with_its_own_pair(self, tmp_path, extra):
+        out = tmp_path / "hh.json"
+        assert run(["verify-hh", "--preset", "half-disk-affine",
+                    "--samples", "200", "--boundary-samples", "2",
+                    "--out", str(out)] + extra) == 0
+        header = load_json(out)["header"]
+        assert (header["body"], header["fn"]) == ("half-disk", "height-affine")
+
     def test_nested_anchor_inside_exits_2_with_one_line(self, tmp_path,
                                                         capsys):
         fn_doc = {"kind": "shifted_norm", "anchor": [0, 0]}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from torsion_bound import convex_geometry as cg
+from torsion_bound import hh_verifier as hh
 from torsion_bound import presets
 from torsion_bound import rng
 from torsion_bound.estimates import WosConfig
@@ -1014,6 +1015,140 @@ class TestHalfBallClosedForms:
             assert body.volume_exact() is None
             assert body.surface_area_exact() is None
             assert cg.volume(body, WosConfig(samples=1000, seed=1)).stderr > 0
+
+
+def monomials(n, degree):
+    """Every exponent tuple in n variables of total degree <= degree."""
+    for total in range(degree + 1):
+        for picks in itertools.combinations_with_replacement(range(n), total):
+            yield tuple(int(k) for k in np.bincount(np.array(picks, dtype=int),
+                                                     minlength=n))
+
+
+def assert_integrates_monomials(rule, degree, exact):
+    """sum w x^p equals exact(p) to 1e-13 relative for every monomial of
+    total degree <= degree; where exact(p) is 0 (odd powers), to 1e-13 of
+    sum |w x^p|."""
+    nodes, weights = rule
+    n = nodes.shape[1]
+    powers = [[np.ones(len(nodes))] for _ in range(n)]
+    for i in range(n):
+        for _ in range(degree):
+            powers[i].append(powers[i][-1] * nodes[:, i])
+    for p in monomials(n, degree):
+        mono = weights.copy()
+        for i, k in enumerate(p):
+            if k:
+                mono *= powers[i][k]
+        ref = float(exact(p))
+        scale = abs(ref) if ref != 0.0 else float(np.abs(mono).sum())
+        assert abs(mono.sum() - ref) <= 1e-13 * scale, (p, mono.sum(), ref)
+
+
+MAX = cg.CUBATURE_MAX_DEGREE
+
+
+class TestCubature:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_balls_and_spheres(self, n):
+        body = presets.unit_ball(n)
+        assert_integrates_monomials(cg.cubature(body, MAX), MAX,
+                                    lambda p: oracles._unit_ball_monomial(n, p))
+        assert_integrates_monomials(cg.boundary_cubature(body, MAX), MAX,
+                                    lambda p: oracles.sphere_monomial(n, p))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_ellipsoid_solids(self, n):
+        body = presets.beck_ellipsoid(n)
+        b = body.semi_axes
+        assert_integrates_monomials(
+            cg.cubature(body, MAX), MAX,
+            lambda p: (np.prod(b * b ** np.array(p))
+                       * oracles._unit_ball_monomial(n, p)))
+        assert cg.boundary_cubature(body, 1) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_boxes_and_their_faces(self, n):
+        body = cg.Box(np.linspace(-1.0, 0.5, n), np.linspace(0.5, 2.5, n))
+        for degree in (0, 1, MAX):
+            for rule, exact in ((cg.cubature, oracles.exact_volume_integral),
+                                (cg.boundary_cubature,
+                                 oracles.exact_boundary_integral)):
+                assert_integrates_monomials(
+                    rule(body, degree), degree,
+                    lambda p: exact(body, hh.HarmonicPolynomial({p: 1.0}, n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_simplices_and_their_faces(self, n):
+        body = presets.simplex(n)
+        for degree in (0, 1, 2, 5, MAX):
+            assert_integrates_monomials(cg.cubature(body, degree), degree,
+                                        oracles.simplex_monomial)
+            assert_integrates_monomials(cg.boundary_cubature(body, degree),
+                                        degree, oracles.simplex_boundary_monomial)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_simplex_moments(self, n):
+        # degree <= 2 against the Gram-determinant moments of the simplex
+        # and of each facet
+        body = presets.simplex(n)
+        V = np.vstack((np.zeros(n), np.eye(n)))
+        solid = [oracles.simplex_moments(V)]
+        facets = [oracles.simplex_moments(np.delete(V, i, axis=0))
+                  for i in range(n + 1)]
+        for rule, parts in ((cg.cubature(body, 2), solid),
+                            (cg.boundary_cubature(body, 2), facets)):
+            self.assert_moments(rule, parts)
+
+    def test_random_polytope_moments(self):
+        body = presets.body_preset("random-polytope-n3")
+        vertices = hull(body).points
+        mean, second = oracles.polytope_moments(vertices)
+        self.assert_moments(cg.cubature(body, 2),
+                            [(body.volume_exact(), mean, second)])
+        self.assert_moments(cg.boundary_cubature(body, 2),
+                            [oracles.hull_boundary_moments(vertices)])
+
+    @staticmethod
+    def assert_moments(rule, parts):
+        """Mass, first and second moments of the rule against the sums of
+        (measure, mean, second moment) over ``parts``, to 1e-13 relative."""
+        nodes, w = rule
+        mass = sum(m for m, _mean, _sec in parts)
+        first = sum(m * mean for m, mean, _sec in parts)
+        second = sum(m * sec for m, _mean, sec in parts)
+        assert w.sum() == pytest.approx(mass, rel=1e-13)
+        assert w @ nodes == pytest.approx(first, rel=1e-13)
+        assert (nodes.T * w) @ nodes == pytest.approx(second, rel=1e-13)
+
+    @pytest.mark.parametrize("body", [
+        presets.unit_ball(3), presets.unit_box(2), presets.simplex(3),
+        presets.beck_ellipsoid(4), presets.body_preset("random-polytope-n3")],
+        ids=["ball", "box", "simplex", "ellipsoid", "random-polytope"])
+    def test_measures_and_read_only_nodes(self, body):
+        nodes, w = cg.cubature(body, 3)
+        assert w.sum() == pytest.approx(body.volume_exact(), rel=1e-13)
+        assert body.contains_many(nodes).all()
+        for a in (nodes, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        area = body.surface_area_exact()
+        if area is not None:
+            nodes, w = cg.boundary_cubature(body, 3)
+            assert w.sum() == pytest.approx(area, rel=1e-13)
+            assert np.abs(body.distances_many(nodes)).max() <= 1e-12
+
+    @pytest.mark.parametrize("degree", [-1, MAX + 1])
+    def test_no_rule_outside_the_tested_degrees(self, degree):
+        for body in (presets.unit_ball(2), presets.unit_box(2),
+                     presets.simplex(2), presets.beck_ellipsoid(2)):
+            assert cg.cubature(body, degree) is None
+            assert cg.boundary_cubature(body, degree) is None
+
+    def test_no_rule_on_intersections(self):
+        body = presets.half_ball(2)
+        assert cg.cubature(body, 1) is None
+        assert cg.boundary_cubature(body, 1) is None
 
 
 class TestInvariants:

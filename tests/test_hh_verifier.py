@@ -253,19 +253,23 @@ class TestVolumeIntegral:
 
     def test_box_harmonic_cancels(self):
         f = hh.HarmonicPolynomial({(2, 0): 1.0, (0, 2): -1.0}, 2)
-        est = hh.volume_integral(cg.Box([0.0, 0.0], [1.0, 1.0]), f, CFG)
+        box = cg.Box([0.0, 0.0], [1.0, 1.0])
+        est = hh.volume_integral(box, oracles.sampled(f), CFG)
         assert abs(est.mean) <= 4.0 * est.stderr
+        exact = hh.volume_integral(box, f, CFG)
+        assert exact.stderr == 0.0 and abs(exact.mean) <= 1e-15
 
     def test_matches_exact_polynomial_integrals(self):
         ball = cg.Ball([0.5, -0.25], 1.5)
         f = hh.HarmonicPolynomial({(3, 0): 1.0, (1, 2): -3.0, (0, 0): 4.0}, 2)
-        est = hh.volume_integral(ball, f, CFG)
-        assert abs(est.mean - oracles.exact_volume_integral(ball, f)) \
-            <= 4.0 * est.stderr
         box = cg.Box([0.0, -1.0], [2.0, 1.0])
-        est2 = hh.volume_integral(box, f, CFG)
-        assert abs(est2.mean - oracles.exact_volume_integral(box, f)) \
-            <= 4.0 * est2.stderr
+        for body in (ball, box):
+            truth = oracles.exact_volume_integral(body, f)
+            est = hh.volume_integral(body, oracles.sampled(f), CFG)
+            assert abs(est.mean - truth) <= 4.0 * est.stderr
+            exact = hh.volume_integral(body, f, CFG)
+            assert exact.stderr == 0.0
+            assert exact.mean == pytest.approx(truth, rel=1e-13)
 
 
 class TestExactIntegrals:
@@ -307,9 +311,12 @@ class TestBoundaryIntegral:
         assert est.mean == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_ball_odd_function_cancels(self):
+        f = hh.Affine(0.0, [1.0, 0.0])
         est = hh.boundary_integral(cg.Ball([0.0, 0.0], 1.0),
-                                   hh.Affine(0.0, [1.0, 0.0]), CFG)
+                                   oracles.sampled(f), CFG)
         assert abs(est.mean) <= 4.0 * est.stderr
+        exact = hh.boundary_integral(cg.Ball([0.0, 0.0], 1.0), f, CFG)
+        assert exact.stderr == 0.0 and abs(exact.mean) <= 1e-15
 
     def test_ellipse_weighted_constant(self):
         from scipy.special import ellipe
@@ -383,6 +390,101 @@ class TestVerifyTheorem1:
             <= 4.0 * d["ratio_stderr"]
 
 
+_EXACT_CFG = WosConfig(samples=200_000, seed=4)
+_POLY_FNS = ("constant", "height-affine", "harmonic-cubic")
+
+
+def _closed_forms(body, fn):
+    """(solid, boundary or None) integrals from tests/oracles.py."""
+    if isinstance(body, cg.Polytope):
+        return oracles.simplex_integrals(fn, body.dimension)
+    boundary = (None if isinstance(body, cg.Ellipsoid)
+                else oracles.exact_boundary_integral(body, fn))
+    return oracles.exact_volume_integral(body, fn), boundary
+
+
+class TestExactCubaturePath:
+    def test_degrees(self):
+        body = presets.unit_box(3)
+        cubic = presets.harmonic_cubic(body)
+        assert hh.Affine(1.0, [0.0, 0.0]).degree == 1
+        assert hh.Quadratic([0.0, 0.0]).degree == 2
+        assert cubic.degree == 3
+        assert hh.HarmonicPolynomial({}, 2).degree == 0
+        # the total degree, not the largest power
+        assert hh.HarmonicPolynomial({(1, 1): 1.0, (0, 0): 2.0}, 2).degree == 2
+        assert hh.ShiftedNorm([3.0, 0.0]).degree is None
+        affine = presets.height_affine(body)
+        assert hh.PositiveCombination([(1.0, affine), (2.0, cubic)]).degree == 3
+        assert hh.PositiveCombination([]).degree == 0
+        mixed = hh.PositiveCombination([(1.0, cubic),
+                                        (1.0, presets.shifted_norm_fn(body))])
+        assert mixed.degree is None
+
+    @pytest.mark.parametrize("name", [
+        f"{kind}-n{n}" for n in (2, 3, 4)
+        for kind in ("unit-ball", "unit-box", "simplex", "beck-ellipsoid")])
+    def test_suite_pairs(self, name):
+        # exact, equal to the closed forms to 1e-12, and within 5 stderr of
+        # the sampled path (1e-12 relative where that is exact too: f = 1)
+        body = presets.body_preset(name)
+        for fn_name in _POLY_FNS:
+            fn = presets.fn_preset(fn_name, body)
+            solid, boundary = _closed_forms(body, fn)
+            pairs = [(hh.volume_integral, solid)]
+            if boundary is not None:
+                pairs.append((hh.boundary_integral, boundary))
+            for integral, truth in pairs:
+                exact = integral(body, fn, _EXACT_CFG)
+                assert exact.stderr == 0.0, (fn_name, integral)
+                assert exact.mean == pytest.approx(truth, rel=1e-12)
+                est = integral(body, oracles.sampled(fn), _EXACT_CFG)
+                assert abs(exact.mean - est.mean) \
+                    <= 5.0 * est.stderr + 1e-12 * abs(truth), (fn_name, integral)
+            if boundary is None:  # the ellipsoid's boundary stays sampled
+                assert hh.boundary_integral(body, fn, _EXACT_CFG).stderr > 0.0
+        norm = presets.shifted_norm_fn(body)
+        assert hh.volume_integral(body, norm, _EXACT_CFG).stderr > 0.0
+
+    @pytest.mark.parametrize("body", [presets.unit_box(2), presets.simplex(2),
+                                      presets.unit_ball(2)],
+                             ids=["box", "simplex", "ball"])
+    def test_sampled_outside_the_rules(self, body):
+        # the sampled path, bit for bit, for a degree above the cap, a
+        # shifted norm, a combination with one and a rule with more nodes
+        # than samples
+        cfg = WosConfig(samples=4000, seed=3)
+        high = hh.HarmonicPolynomial(
+            {(cg.CUBATURE_MAX_DEGREE + 1, 0): 1.0, (0, 0): 2.0}, 2)
+        norm = presets.shifted_norm_fn(body)
+        mixed = hh.PositiveCombination([(1.0, presets.height_affine(body)),
+                                        (0.5, norm)])
+        for fn, c in ((high, cfg), (norm, cfg), (mixed, cfg),
+                      (presets.harmonic_cubic(body), cfg.replace(samples=3))):
+            for integral in (hh.volume_integral, hh.boundary_integral):
+                est = integral(body, fn, c)
+                assert est.stderr > 0.0
+                assert est == integral(body, oracles.sampled(fn), c)
+        assert len(cg.cubature(body, 3)[1]) > 3
+        assert len(cg.boundary_cubature(body, 3)[1]) > 3
+
+    def test_verify_theorem1_reports_exact_pairs(self):
+        body = presets.unit_box(3)
+        rep = hh.verify_theorem1(body, presets.harmonic_cubic(body), FAST)
+        d = rep.details
+        assert rep.measured.stderr == rep.bound_stderr == 0.0
+        assert d["ratio_stderr"] == d["boundary_integral_stderr"] == 0.0
+        # the solid side is exact on an ellipsoid; its area is sampled
+        body = presets.beck_ellipsoid(3)
+        rep = hh.verify_theorem1(body, presets.height_affine(body), FAST)
+        assert rep.measured.stderr == 0.0 and rep.bound_stderr > 0.0
+        # half-balls stay sampled
+        body = half_disk()
+        rep = hh.verify_theorem1(body, presets.height_affine(body), FAST)
+        assert rep.measured.stderr > 0.0 and rep.bound_stderr > 0.0
+
+
+
 class _WritesInput(hh.Affine):
     """A test function that scribbles on the points it is given."""
 
@@ -446,6 +548,13 @@ class TestSharedSampleSet:
         with pytest.raises(ValueError, match="read-only"):
             hh.boundary_integral(body, _WritesInput(1.0, [0.0, -1.0]), FAST)
         assert hh.verify_theorem1(body, f, FAST) == expected
+
+    def test_function_writing_cubature_nodes_raises(self):
+        # the nodes of an exact rule are read-only too
+        box = presets.unit_box(2)
+        for integral in (hh.volume_integral, hh.boundary_integral):
+            with pytest.raises(ValueError, match="read-only"):
+                integral(box, _WritesInput(1.0, [0.0, -1.0]), FAST)
 
 
 _SUITE_CFG = WosConfig(samples=500, seed=11)
