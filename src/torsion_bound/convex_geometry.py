@@ -1246,6 +1246,12 @@ class _ClippedPolytope(Polytope):
     def volume_exact(self):
         return None  # the kept faces do not enclose the clipped body
 
+    def _cubature(self, degree):
+        return None  # an artifact of sampling, not a body to integrate over
+
+    def _boundary_cubature(self, degree):
+        return None  # the kept faces are only part of the boundary
+
 
 def _kept_share(a: float, t: float) -> float:
     """Share of a ball (a = (n+1)/2) or of its sphere (a = (n-1)/2) on the

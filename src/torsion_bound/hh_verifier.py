@@ -15,9 +15,8 @@ Exact integrals.  A polynomial f (affine, quadratic, harmonic polynomial,
 or a positive combination of these) reports its total degree.  Up to
 cg.CUBATURE_MAX_DEGREE its solid integral over a ball, ellipsoid, box or
 polytope, and its boundary integral over a ball, box or polytope, is a
-cubature rule's weighted sum (cg.cubature, cg.boundary_cubature) when the
-rule has at most cfg.samples nodes; the Estimate then has stderr 0, which
-marks it exact.  Everything else is sampled: shifted norms and
+cubature rule's weighted sum (cg.cubature, cg.boundary_cubature); the
+Estimate then has stderr 0, which marks it exact.  Everything else is sampled: shifted norms and
 combinations holding one, higher degrees, ellipsoid boundaries and
 intersections (the half-balls among them).
 
@@ -467,14 +466,10 @@ def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
 # integrals
 
 
-def _exact_rule(rule, body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig):
+def _exact_rule(rule, body: cg.ConvexBody, fn: SubharmonicFn):
     """The body's cubature of fn's degree (``rule`` is cg.cubature or
-    cg.boundary_cubature) when fn is a polynomial and the rule has at most
-    cfg.samples nodes; None otherwise."""
-    if fn.degree is None:
-        return None
-    out = rule(body, fn.degree)
-    return out if out is not None and len(out[1]) <= cfg.samples else None
+    cg.boundary_cubature) when fn is a polynomial; None otherwise."""
+    return None if fn.degree is None else rule(body, fn.degree)
 
 
 def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
@@ -483,11 +478,11 @@ def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
 
     Exact, with stderr 0, when f is a polynomial (``fn.degree`` is not
     None) of degree at most cg.CUBATURE_MAX_DEGREE on a ball, ellipsoid,
-    box or polytope whose rule (cg.cubature) has at most cfg.samples
-    nodes: the weighted sum of f at the nodes.  Otherwise the mean of f
-    over uniform interior samples times the body volume; both come from
-    the sample set of (body, cfg.seed, cfg.samples)."""
-    rule = _exact_rule(cg.cubature, body, fn, cfg)
+    box or polytope: the weighted sum of f at the nodes of cg.cubature.
+    Otherwise the mean of f over uniform interior samples times the body
+    volume; both come from the sample set of (body, cfg.seed,
+    cfg.samples)."""
+    rule = _exact_rule(cg.cubature, body, fn)
     if rule is not None:
         return Estimate.exact(rule[1] @ fn.value(rule[0]))
     s = _sample_set(body, cfg)
@@ -505,7 +500,7 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     times the surface area; the stderr includes the weight variance (delta
     method on the self-normalized ratio).  Samples, weights and area come
     from the sample set of (body, cfg.seed, cfg.samples)."""
-    rule = _exact_rule(cg.boundary_cubature, body, fn, cfg)
+    rule = _exact_rule(cg.boundary_cubature, body, fn)
     if rule is not None:
         return Estimate.exact(rule[1] @ fn.value(rule[0]))
     s = _sample_set(body, cfg)

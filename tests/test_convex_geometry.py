@@ -1087,19 +1087,6 @@ class TestCubature:
             assert_integrates_monomials(cg.boundary_cubature(body, degree),
                                         degree, oracles.simplex_boundary_monomial)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_simplex_moments(self, n):
-        # degree <= 2 against the Gram-determinant moments of the simplex
-        # and of each facet
-        body = presets.simplex(n)
-        V = np.vstack((np.zeros(n), np.eye(n)))
-        solid = [oracles.simplex_moments(V)]
-        facets = [oracles.simplex_moments(np.delete(V, i, axis=0))
-                  for i in range(n + 1)]
-        for rule, parts in ((cg.cubature(body, 2), solid),
-                            (cg.boundary_cubature(body, 2), facets)):
-            self.assert_moments(rule, parts)
-
     def test_random_polytope_moments(self):
         body = presets.body_preset("random-polytope-n3")
         vertices = hull(body).points
@@ -1146,9 +1133,11 @@ class TestCubature:
             assert cg.boundary_cubature(body, degree) is None
 
     def test_no_rule_on_intersections(self):
-        body = presets.half_ball(2)
-        assert cg.cubature(body, 1) is None
-        assert cg.boundary_cubature(body, 1) is None
+        # nor on a member clipped to a box, whose kept faces are only part
+        # of its boundary
+        for body in (presets.half_ball(2), *clipped_members(2)):
+            assert cg.cubature(body, 1) is None
+            assert cg.boundary_cubature(body, 1) is None
 
 
 class TestInvariants:

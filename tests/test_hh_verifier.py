@@ -451,22 +451,18 @@ class TestExactCubaturePath:
                              ids=["box", "simplex", "ball"])
     def test_sampled_outside_the_rules(self, body):
         # the sampled path, bit for bit, for a degree above the cap, a
-        # shifted norm, a combination with one and a rule with more nodes
-        # than samples
+        # shifted norm and a combination with one
         cfg = WosConfig(samples=4000, seed=3)
         high = hh.HarmonicPolynomial(
             {(cg.CUBATURE_MAX_DEGREE + 1, 0): 1.0, (0, 0): 2.0}, 2)
         norm = presets.shifted_norm_fn(body)
         mixed = hh.PositiveCombination([(1.0, presets.height_affine(body)),
                                         (0.5, norm)])
-        for fn, c in ((high, cfg), (norm, cfg), (mixed, cfg),
-                      (presets.harmonic_cubic(body), cfg.replace(samples=3))):
+        for fn in (high, norm, mixed):
             for integral in (hh.volume_integral, hh.boundary_integral):
-                est = integral(body, fn, c)
+                est = integral(body, fn, cfg)
                 assert est.stderr > 0.0
-                assert est == integral(body, oracles.sampled(fn), c)
-        assert len(cg.cubature(body, 3)[1]) > 3
-        assert len(cg.boundary_cubature(body, 3)[1]) > 3
+                assert est == integral(body, oracles.sampled(fn), cfg)
 
     def test_verify_theorem1_reports_exact_pairs(self):
         body = presets.unit_box(3)
