@@ -5,20 +5,23 @@ Intersection.  Each body answers membership, a certified distance to the
 boundary (exact for ball/box/polytope, a safe lower bound for ellipsoids
 and intersections — safe means the inscribed sphere used by the
 walk-on-spheres step always stays inside the body), bounding box, volume
-(exact except for intersections, which use rejection Monte Carlo unless
-they are a ball cut by one half-space), and surface-measure boundary
-sampling with per-point importance weights.
+and surface area (closed forms except for intersections, which use Monte
+Carlo unless they are a ball cut by one half-space), and surface-measure
+boundary sampling with per-point importance weights.
 
 Only this module knows how a body's boundary is stratified (the faces of
-a box or polytope, the members of an intersection; balls and ellipsoids
-have no strata).
+a box or polytope, the kept cap and flat face of a half-ball, the members
+of any other intersection; balls and ellipsoids have no strata).
 
 All sampling is keyed by (seed, candidate index), and every sampler
 consumes candidate ids in order through ``_keyed_rejection``, so sample
 lists are bit-reproducible and independent of batch sizes.  Balls,
 ellipsoids, boxes and polytopes draw their interiors, and polytopes their
-faces, exactly: one candidate per returned point.  Intersections draw
-their interiors by bounding-box rejection.
+faces, exactly: one candidate per returned point.  So do half-balls their
+boundary whenever the kept cap is at least a hemisphere, and otherwise
+with acceptance twice the cap's share of the sphere.  Intersections draw
+their interiors by bounding-box rejection, and all but half-balls their
+boundary too.
 
 Balls, ellipsoids, boxes and polytopes have cubature rules (``cubature``)
 that integrate every polynomial up to CUBATURE_MAX_DEGREE exactly over
@@ -81,6 +84,10 @@ _OP_VOLUME = 102
 _OP_AREA = 103
 _PILOT_KEY = 0x5EED0F11  # fixed internal key for mixture pilots
 _BATCH = 8192
+# trapezoid step and range (in log s, beyond the axis scales) of the
+# ellipsoid area integral; see Ellipsoid._area
+_AREA_STEP = 0.4
+_AREA_PAD = 90.0
 
 
 class SamplingStarved(RuntimeError):
@@ -522,6 +529,47 @@ class Ellipsoid(ConvexBody):
 
     def volume_exact(self):
         return ball_volume(self.dimension, 1.0) * float(np.prod(self.semi_axes))
+
+    def surface_area_exact(self):
+        return self._area
+
+    @cached_property
+    def _area(self):
+        """(prod b_i) |S^(n-1)| E sqrt(g' A g) / E|g|, g standard Gaussian
+        and A = diag(b_i^-2): the sphere's surface Jacobian (the weight of
+        ``_boundary_batch``) averaged over directions g / |g|, which are
+        independent of |g|.  As sqrt(q) = (2 sqrt pi)^-1 int_0^inf
+        (1 - e^(-s q)) s^(-3/2) ds,
+
+            E sqrt(g' A g) = (2 sqrt pi)^-1 int_0^inf
+                             (1 - prod_i (1 + 2 s / b_i^2)^(-1/2)) s^(-3/2) ds,
+
+        taken by the trapezoid rule in v = log s.  The integrand decays
+        like e^(-|v|/2) on both sides and is analytic in |Im v| < pi, so
+        steps of _AREA_STEP over _AREA_PAD beyond the axis scales
+        log(b_i^2 / 2) leave about 1e-20 of truncation and discretization
+        error.  The nodes are mid + k h, mid between the scales, so those
+        that carry the integral are placed to rounding; counted from the
+        end of the range, 90 from zero, they were off by about 1e-14, and
+        so was the area."""
+        b = self.semi_axes
+        n = self.dimension
+        scales = np.log(0.5 * b * b)
+        lo = float(scales.min()) - _AREA_PAD
+        hi = float(scales.max()) + _AREA_PAD
+        mid = 0.5 * (lo + hi)
+        k = np.arange(math.floor((lo - mid) / _AREA_STEP),
+                      math.ceil((hi - mid) / _AREA_STEP) + 1)
+        s = np.exp(mid + _AREA_STEP * k)
+        log_mgf = np.zeros_like(s)  # -2 log E e^(-s g'Ag)
+        for bi in b:
+            log_mgf += np.log1p(2.0 * s / (bi * bi))
+        integral = _AREA_STEP * float(np.sum(-np.expm1(-0.5 * log_mgf)
+                                             / np.sqrt(s)))
+        # |S^(n-1)| / (2 sqrt pi E|g|) = pi^((n-1)/2) / (sqrt 2 Gamma((n+1)/2))
+        scale = math.exp(0.5 * (n - 1) * math.log(math.pi)
+                         - math.lgamma(0.5 * (n + 1))) / math.sqrt(2.0)
+        return float(np.prod(b)) * scale * integral
 
     def inradius(self):
         return float(self.semi_axes.min())
@@ -1076,6 +1124,11 @@ class Intersection(ConvexBody):
     importance weight d(sigma)/d(law).  The stratified sample gives each
     member its share of the points by the same mixture fractions, drawn
     on the member's boundary and accepted inside the other members.
+
+    A half-ball (one Ball and one half-space) has closed-form measures and
+    its own strata instead: the kept cap and the flat (n-1)-ball, weighted
+    by their exact areas and drawn directly (``_cap_stratum``,
+    ``_flat_stratum``).  ``_mixture`` stays defined for it.
     """
 
     def __init__(self, members):
@@ -1144,9 +1197,9 @@ class Intersection(ConvexBody):
         return self._deep_point.copy()
 
     def _half_ball(self):
-        """(n, R, t) when the members are one Ball and one single-constraint
-        half-space {a . x <= c}, with t = (c - a . center)/R clamped to
-        [-1, 1]; None otherwise."""
+        """(ball, a, t) when the members are one Ball and one
+        single-constraint half-space {a . x <= c}, with t = (c - a .
+        center)/R clamped to [-1, 1]; None otherwise."""
         balls = [m for m in self.members if isinstance(m, Ball)]
         cuts = [m for m in self.members
                 if isinstance(m, Polytope) and len(m.c) == 1]
@@ -1154,7 +1207,23 @@ class Intersection(ConvexBody):
             return None
         ball, cut = balls[0], cuts[0]
         t = (cut.c[0] - cut.A[0] @ ball.center) / ball.radius
-        return self.dimension, ball.radius, min(max(float(t), -1.0), 1.0)
+        return ball, cut.A[0], min(max(float(t), -1.0), 1.0)
+
+    def _half_ball_areas(self):
+        """(cap, flat) for a ball of radius R cut at height h = tR from its
+        centre: the sphere part kept, by the cap formula of volume_exact
+        with I_(1-t^2)((n-1)/2, 1/2), and the flat (n-1)-ball of radius
+        sqrt(R^2 - h^2); None for any other intersection."""
+        half = self._half_ball()
+        if half is None:
+            return None
+        ball, _a, t = half
+        n, radius = self.dimension, ball.radius
+        cap = ball_surface_area(n, radius) * _kept_share(0.5 * (n - 1), t)
+        # omega_(n-1) (R^2 - h^2)^((n-1)/2), with omega_1 = 2 (a chord)
+        flat = (math.pi * (1.0 - t) * (1.0 + t)) ** (0.5 * (n - 1)) \
+            / math.gamma(0.5 * (n + 1))
+        return cap, flat * radius ** (n - 1)
 
     def volume_exact(self):
         """Closed form for a ball of radius R cut at height h = tR from its
@@ -1165,22 +1234,15 @@ class Intersection(ConvexBody):
         half = self._half_ball()
         if half is None:
             return None
-        n, radius, t = half
-        return ball_volume(n, radius) * _kept_share(0.5 * (n + 1), t)
+        ball, _a, t = half
+        return ball_volume(self.dimension, ball.radius) \
+            * _kept_share(0.5 * (self.dimension + 1), t)
 
     def surface_area_exact(self):
-        """The sphere part by the same cap formula with
-        I_(1-t^2)((n-1)/2, 1/2), plus the flat (n-1)-ball of radius
-        sqrt(R^2 - h^2); None for any other intersection."""
-        half = self._half_ball()
-        if half is None:
-            return None
-        n, radius, t = half
-        sphere = ball_surface_area(n, radius) * _kept_share(0.5 * (n - 1), t)
-        # omega_(n-1) (R^2 - h^2)^((n-1)/2), with omega_1 = 2 (a chord)
-        flat = (math.pi * (1.0 - t) * (1.0 + t)) ** (0.5 * (n - 1)) \
-            / math.gamma(0.5 * (n + 1))
-        return float(sphere + flat * radius ** (n - 1))
+        """The kept cap plus the flat face (``_half_ball_areas``); None for
+        any other intersection."""
+        areas = self._half_ball_areas()
+        return None if areas is None else float(areas[0] + areas[1])
 
     @cached_property
     def diameter(self):
@@ -1190,7 +1252,8 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _mixture(self):
-        """Per-member clipped boundary samplers and their boundary areas."""
+        """Per-member clipped boundary samplers and their boundary areas:
+        the strata of every intersection but a half-ball."""
         lo, hi = self._bbox
         pad = 1e-9 * max(1.0, float(np.linalg.norm(hi - lo)))
         samplers = []
@@ -1208,10 +1271,73 @@ class Intersection(ConvexBody):
                 areas.append(exact)
         return samplers, np.array(areas, dtype=float)
 
+    @cached_property
+    def _half_ball_strata(self):
+        """(areas, draws) of a half-ball's boundary strata, the kept cap
+        then the flat face, without a stratum of zero area (the flat face
+        of a plane missing the ball); None for any other intersection."""
+        areas = self._half_ball_areas()
+        if areas is None:
+            return None
+        kept = [(area, draw) for area, draw
+                in zip(areas, (self._cap_stratum, self._flat_stratum))
+                if area > 0.0]
+        return (np.array([area for area, _draw in kept]),
+                [draw for _area, draw in kept])
+
+    def _cap_stratum(self, key):
+        """The kept cap {s <= t}, s = a . (x - centre)/R, from one sphere
+        point z per id (counter 0).  Where s > max(t, 0), z is reflected
+        across the plane through the centre parallel to the cut (s -> -s),
+        so a cap point with s < -t is reached from two sphere points and
+        weighs half the sphere's area, the band -t <= s <= t from one.
+        Every candidate lands on the cap when t >= 0; when t < 0 those
+        with s <= t do."""
+        ball, a, t = self._half_ball()
+        full = ball.surface_area_exact()
+
+        def draw(ids):
+            z = rng.unit_vectors(key, ids, 0, self.dimension)
+            # column by column, so every row rounds alike in any batch
+            s = z[:, 0] * a[0]
+            for k in range(1, self.dimension):
+                s += z[:, k] * a[k]
+            fold = s > max(t, 0.0)
+            # masks, not row indexing, which took twice as long
+            z -= np.where(fold, 2.0 * s, 0.0)[:, None] * a
+            np.negative(s, out=s, where=fold)
+            wgt = np.where(s < -t, 0.5 * full, full)
+            return ball.center + ball.radius * z, -z, wgt, s <= t
+        return draw
+
+    def _flat_stratum(self, key):
+        """The flat face: a uniform (n-1)-ball point (``_unit_ball_points``)
+        of radius R sqrt(1 - t^2) in the chart ``_complement(a)`` of the
+        plane, centred at centre + tR a; inward normal -a."""
+        ball, a, t = self._half_ball()
+        area = self._half_ball_areas()[1]
+        foot = ball.center + t * ball.radius * a
+        chart = ball.radius * math.sqrt((1.0 - t) * (1.0 + t)) \
+            * _complement(a).T
+
+        def draw(ids):
+            u = _unit_ball_points(key, ids, self.dimension - 1)
+            pos = foot + u[:, :1] * chart[0]
+            for k in range(1, self.dimension - 1):
+                pos += u[:, k:k + 1] * chart[k]
+            m = len(ids)
+            return (pos, np.tile(-a, (m, 1)), np.full(m, area),
+                    np.ones(m, dtype=bool))
+        return draw
+
     def _strata(self):
-        return 41, self._mixture[1]
+        half = self._half_ball_strata
+        return 41, self._mixture[1] if half is None else half[0]
 
     def _stratum(self, index, key):
+        half = self._half_ball_strata
+        if half is not None:
+            return half[1][index](key)
         sampler = self._mixture[0][index]
         others = [m for j, m in enumerate(self.members) if j != index]
 
@@ -1321,8 +1447,9 @@ def volume(body: ConvexBody, cfg: WosConfig) -> Estimate:
 
 
 def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
-    """Exact for ball/box/polytope and for a ball cut by one half-space;
-    weighted-sample normalization for ellipsoids and other
+    """Exact for ball/ellipsoid/box/polytope and for a ball cut by one
+    half-space (the ellipsoid's by a 1-D quadrature to rounding, see
+    Ellipsoid._area); weighted-sample normalization for other
     intersections."""
     exact = body.surface_area_exact()
     if exact is not None:

@@ -16,9 +16,10 @@ or a positive combination of these) reports its total degree.  Up to
 cg.CUBATURE_MAX_DEGREE its solid integral over a ball, ellipsoid, box or
 polytope, and its boundary integral over a ball, box or polytope, is a
 cubature rule's weighted sum (cg.cubature, cg.boundary_cubature); the
-Estimate then has stderr 0, which marks it exact.  Everything else is sampled: shifted norms and
-combinations holding one, higher degrees, ellipsoid boundaries and
-intersections (the half-balls among them).
+Estimate then has stderr 0, which marks it exact.  Everything else is
+sampled: shifted norms and combinations holding one, higher degrees,
+ellipsoid boundaries (where a constant f is exact to rounding, as the
+area is) and intersections (the half-balls among them).
 
 Shared draws.  Every sample the checks use depends on the body and the
 seed, never on f: the 512 interior and 512 boundary certificate probes
@@ -27,9 +28,9 @@ points (seed, _TAG_VOLUME_INT), the cfg.samples weighted boundary points
 (seed, _TAG_BOUNDARY_INT), and the volume and surface area.  Interior
 points are exact draws, one candidate per point, except on intersections,
 which reject from their bounding box.  The volume and area are closed
-forms except for an ellipsoid's area and an intersection other than a
-ball cut by one half-space, which are Monte Carlo estimates on
-(cfg.seed, cfg.samples).  They are drawn once per (body identity, cfg.seed,
+forms except on an intersection other than a ball cut by one
+half-space, where they are Monte Carlo estimates on (cfg.seed,
+cfg.samples).  They are drawn once per (body identity, cfg.seed,
 cfg.samples) into a read-only sample set that every function on that body
 reuses, so checking several functions on one body draws once and gives
 the same numbers, bit for bit, as drawing afresh for each.  The most
@@ -498,8 +499,10 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     polytopes (cg.boundary_cubature); an ellipsoid's boundary has no rule.
     Otherwise the importance-weighted mean of f over boundary samples
     times the surface area; the stderr includes the weight variance (delta
-    method on the self-normalized ratio).  Samples, weights and area come
-    from the sample set of (body, cfg.seed, cfg.samples)."""
+    method on the self-normalized ratio) and the area's, which is 0 but
+    on intersections other than half-balls.  A constant f then has
+    stderr 0 up to rounding (0 for f = 1).  Samples, weights and area
+    come from the sample set of (body, cfg.seed, cfg.samples)."""
     rule = _exact_rule(cg.boundary_cubature, body, fn)
     if rule is not None:
         return Estimate.exact(rule[1] @ fn.value(rule[0]))
@@ -531,9 +534,9 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     A stderr of 0 marks an exact side: a polynomial f's solid integral on
     a ball, ellipsoid, box or polytope, and its bound on a ball, box or
     polytope (see volume_integral and boundary_integral).  On an ellipsoid
-    the bound stays sampled, as its boundary has no rule and its area is
-    a Monte Carlo estimate; half-balls and shifted norms are sampled on
-    both sides.
+    the bound of a non-constant f stays sampled, as its boundary has no
+    rule (its area is a closed form); half-balls and shifted norms are
+    sampled on both sides, with the half-ball's volume and area exact.
 
     Certificates, integrals and the volume all use the sample set of
     (body, cfg.seed, cfg.samples), so calls on one body with several

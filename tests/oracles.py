@@ -15,8 +15,10 @@ polytope face areas by linear programs as the reference for the
 vertex-enumerated ones, and its earlier ``pow`` polynomial kernel as the
 error reference for the multiplication kernel.  Uniform laws on simplices
 and polytopes are checked against closed-form moments summed over a qhull
-triangulation, and the half-ball volume and area against mpmath
-quadrature over slices.
+triangulation, and the half-ball volume, area and boundary height
+moment against mpmath quadrature over slices.  The ellipsoid area is
+checked against mpmath quadrature in s of its Gaussian integral, which the
+library takes by the trapezoid rule in log s.
 """
 
 import math
@@ -733,12 +735,13 @@ def moment_errors(points: np.ndarray, mean: np.ndarray, second: np.ndarray,
 
 
 def half_ball_measures_mp(n: int, radius: float, t: float,
-                          dps: int = 30) -> tuple[float, float]:
-    """(volume, surface area) of a ball of radius R cut by a plane at
-    signed height h = tR from its centre, keeping {s <= h}, by mpmath
-    quadrature over the slices s in [-R, h]: a slice is an (n-1)-ball of
-    radius rho = sqrt(R^2 - s^2), and the sphere meets it in an
-    (n-2)-sphere whose band has width R / rho ds."""
+                          dps: int = 30) -> tuple[float, float, float]:
+    """(volume, surface area, boundary height moment) of a ball of radius
+    R cut by a plane at signed height h = tR from its centre, keeping
+    {s <= h}, by mpmath quadrature over the slices s in [-R, h]: a slice
+    is an (n-1)-ball of radius rho = sqrt(R^2 - s^2), and the sphere meets
+    it in an (n-2)-sphere whose band has width R / rho ds.  The moment is
+    the integral of s / R over the boundary."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -747,7 +750,32 @@ def half_ball_measures_mp(n: int, radius: float, t: float,
         sigma = (n - 1) * omega  # area of the unit sphere in R^(n-1)
         vol = mp.quad(lambda s: omega * (R * R - s * s) ** (mp.mpf(n - 1) / 2),
                       [-R, h])
-        band = mp.quad(lambda s: sigma * R * (R * R - s * s) ** (mp.mpf(n - 3) / 2),
-                       [-R, h])
+
+        def band(s):
+            return sigma * R * (R * R - s * s) ** (mp.mpf(n - 3) / 2)
+
         flat = omega * (R * R - h * h) ** (mp.mpf(n - 1) / 2)
-        return float(vol), float(band + flat)
+        area = mp.quad(band, [-R, h]) + flat
+        height = mp.quad(lambda s: s / R * band(s), [-R, h]) + h / R * flat
+        return float(vol), float(area), float(height)
+
+
+def ellipsoid_area_mp(semi_axes, dps: int = 30) -> float:
+    """Surface area of the ellipsoid with these semi-axes,
+    (prod b_i) pi^((n-1)/2) / (sqrt 2 Gamma((n+1)/2)) times
+    int_0^inf (1 - prod_i (1 + 2 s / b_i^2)^(-1/2)) s^(-3/2) ds, by mpmath
+    quadrature in s split at the axis scales b_i^2 / 2."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        b = [mp.mpf(float(x)) for x in semi_axes]
+        n = len(b)
+
+        def f(s):
+            return ((1 - mp.fprod((1 + 2 * s / (bi * bi)) ** mp.mpf(-0.5)
+                                  for bi in b)) * s ** mp.mpf(-1.5))
+
+        cuts = sorted({bi * bi / 2 for bi in b})
+        integral = mp.quad(f, [0, *cuts, mp.inf])
+        return float(mp.fprod(b) * mp.pi ** (mp.mpf(n - 1) / 2) * integral
+                     / (mp.sqrt(2) * mp.gamma(mp.mpf(n + 1) / 2)))

@@ -302,7 +302,80 @@ class TestSurfaceArea:
 
         exact = 8.0 * ellipe(0.5)
         est = cg.surface_area(cg.Ellipsoid([0, 0], [2.0, math.sqrt(2.0)]), CFG)
-        assert abs(est.mean - exact) <= 3.0 * est.stderr
+        assert est.stderr == 0.0
+        assert est.mean == pytest.approx(exact, rel=1e-12)
+
+
+class TestEllipsoidArea:
+    """The closed-form ellipsoid area, to 1e-12 relative, with axis ratios
+    up to 1e3."""
+
+    RATIOS = (1.0, 1.0001, 1.7, 10.0, 1e3)
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_ellipse_against_ellipe(self, ratio):
+        from scipy.special import ellipe
+
+        for minor in (1e-3, 0.6, 2.5):
+            major = ratio * minor
+            exact = 4.0 * major * ellipe(1.0 - (minor / major) ** 2)
+            for axes in ([major, minor], [minor, major]):
+                body = cg.Ellipsoid([0.3, -1.0], axes)
+                assert body.surface_area_exact() == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", RATIOS[1:])
+    def test_spheroids(self, ratio):
+        # two equal axes a and a third c: prolate (c > a) and oblate (c < a)
+        a = 0.8
+        c = ratio * a
+        e = math.sqrt(1.0 - (a / c) ** 2)
+        prolate = 2.0 * math.pi * a * a * (1.0 + c / (a * e) * math.asin(e))
+        c = a / ratio
+        e = math.sqrt(1.0 - (c / a) ** 2)
+        oblate = 2.0 * math.pi * a * a * (1.0 + (1.0 - e * e) / e * math.atanh(e))
+        for c, exact in ((ratio * a, prolate), (a / ratio, oblate)):
+            for axes in ([a, a, c], [c, a, a]):
+                body = cg.Ellipsoid(np.zeros(3), axes)
+                assert body.surface_area_exact() == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_spheres(self, n):
+        from torsion_bound import analytic_library as al
+
+        for radius in (1e-3, 1.0, 7.3):
+            body = cg.Ellipsoid(np.ones(n), np.full(n, radius))
+            assert body.surface_area_exact() == pytest.approx(
+                al.ball_surface_area(n, radius), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_against_mp_quadrature(self, n):
+        gen = np.random.default_rng(70 + n)
+        cases = [presets.ellipsoid_semi_axes(n),
+                 np.geomspace(1.0, 1e3, n),
+                 np.r_[1e-3, np.ones(n - 1)],
+                 10.0 ** gen.uniform(-1.5, 1.5, n)]
+        for axes in cases:
+            body = cg.Ellipsoid(np.zeros(n), axes)
+            assert body.surface_area_exact() == pytest.approx(
+                oracles.ellipsoid_area_mp(axes), rel=1e-12), axes
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_boundary_weights_average_to_the_area(self, n):
+        # the sampler's surface Jacobian, averaged over 200k directions
+        gen = np.random.default_rng(n)
+        body = cg.Ellipsoid(np.zeros(n), 10.0 ** gen.uniform(-1.0, 1.0, n))
+        _pos, _nrm, wgt, ok = body._boundary_batch(
+            41, np.arange(200_000, dtype=np.uint64))
+        assert ok.all()
+        se = float(np.std(wgt, ddof=1)) / math.sqrt(len(wgt))
+        assert abs(float(np.mean(wgt)) - body.surface_area_exact()) <= 4.0 * se
+
+    def test_exact_and_cached(self):
+        body = presets.beck_ellipsoid(4)
+        est = cg.surface_area(body, CFG)
+        assert est.stderr == 0.0 and est.samples == 0
+        assert est.mean == pytest.approx(250.869026, rel=1e-8)
+        assert "_area" in vars(body)
 
 
 def square_pyramid():
@@ -972,7 +1045,7 @@ class TestHalfBallClosedForms:
         radius = 1.7
         body = half_space_cut(gen.uniform(-1.0, 1.0, n), radius,
                               gen.normal(size=n), t)
-        vol, area = oracles.half_ball_measures_mp(n, radius, t)
+        vol, area, _height = oracles.half_ball_measures_mp(n, radius, t)
         assert body.volume_exact() == pytest.approx(vol, rel=1e-13)
         assert body.surface_area_exact() == pytest.approx(area, rel=1e-13)
 
@@ -1015,6 +1088,124 @@ class TestHalfBallClosedForms:
             assert body.volume_exact() is None
             assert body.surface_area_exact() is None
             assert cg.volume(body, WosConfig(samples=1000, seed=1)).stderr > 0
+
+
+def boundary_height(body, pos):
+    """s = a . (x - centre)/R of half-ball boundary points."""
+    ball, a, _t = body._half_ball()
+    return (pos - ball.center) @ a / ball.radius
+
+
+class TestHalfBallSampler:
+    """The kept cap drawn as folded sphere points and the flat face as an
+    (n-1)-ball, on a ball of random centre, radius and cut direction."""
+
+    T = (-0.4, 0.0, 0.5)
+    CANDIDATES = 200_000
+
+    @staticmethod
+    def body(n, t):
+        gen = np.random.default_rng(10 * n + int(10 * t))
+        return half_space_cut(gen.uniform(-1.0, 1.0, n), gen.uniform(0.5, 2.0),
+                              gen.normal(size=n), t)
+
+    def batch(self, body):
+        return body._boundary_batch(41, np.arange(self.CANDIDATES,
+                                                  dtype=np.uint64))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("t", T)
+    def test_weights_integrate_the_area(self, n, t):
+        body = self.body(n, t)
+        _pos, _nrm, wgt, ok = self.batch(body)
+        # every candidate lands on the boundary unless the cap is the
+        # smaller part, which only half of the folded draws reach
+        assert ok.all() == (t >= 0.0)
+        vals = wgt * ok
+        area = body.surface_area_exact()
+        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+        if t == 0.0:  # every weight is the area
+            assert float(np.mean(vals)) == pytest.approx(area, rel=1e-12)
+        else:
+            assert se > 0.0
+            assert abs(float(np.mean(vals)) - area) <= 4.0 * se
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("t", T)
+    def test_height_moment(self, n, t):
+        body = self.body(n, t)
+        pos, _nrm, wgt, ok = self.batch(body)
+        vals = wgt * ok * boundary_height(body, pos)
+        _vol, _area, height = oracles.half_ball_measures_mp(
+            n, body._half_ball()[0].radius, t)
+        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+        assert abs(float(np.mean(vals)) - height) <= 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("t", T)
+    def test_on_the_boundary_with_inward_normals(self, n, t):
+        body = self.body(n, t)
+        ball, a, _t = body._half_ball()
+        tol = 1e-12 * ball.radius
+        for pos, nrm in (body.boundary_arrays(2000, 11)[:2],
+                         body.stratified_boundary(2000, 12)):
+            s = boundary_height(body, pos)
+            radial = np.linalg.norm(pos - ball.center, axis=1)
+            on_cap = np.abs(radial - ball.radius) <= tol
+            on_flat = np.abs(s - t) <= 1e-12
+            assert (on_cap | on_flat).all()
+            assert (s <= t + 1e-12).all() and (radial <= ball.radius + tol).all()
+            assert on_cap.any() and on_flat.any()
+            assert np.allclose(nrm[on_cap & ~on_flat],
+                               (ball.center - pos[on_cap & ~on_flat]) / ball.radius,
+                               atol=1e-12)
+            assert np.all(nrm[on_flat & ~on_cap] == -a)
+            assert body.contains_many(pos + 1e-9 * nrm).all()
+            assert not body.contains_many(pos - 1e-9 * nrm).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("t", T)
+    def test_independent_of_batch_size(self, n, t, monkeypatch):
+        body = self.body(n, t)
+        first = body.boundary_arrays(1000, 17)
+        for batch in (1, 7, 4096):
+            monkeypatch.setattr(cg, "_BATCH", batch)
+            again = body.boundary_arrays(1000, 17)
+            assert all(np.array_equal(x, y) for x, y in zip(first, again))
+
+    def test_half_disk_split(self):
+        # 8 pi / (pi + 2) = 4.9 arc points; the whole-circle mixture gave
+        # the arc 8 (2 pi) / (2 pi + 2) = 6.1
+        body = presets.half_ball(2)
+        assert np.array_equal(cg._largest_remainder(body._strata()[1], 8), [5, 3])
+        pos, _nrm = body.stratified_boundary(8, 5)
+        on_flat = pos[:, 1] == 0.0
+        assert np.array_equal(on_flat, [False] * 5 + [True] * 3)
+
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_zero_area_flat_face_never_drawn(self, t):
+        for n in (2, 3, 5):
+            body = half_space_cut(np.full(n, 0.5), 2.0, np.ones(n), t)
+            _tag, weights = body._strata()
+            assert len(weights) == 1
+            assert weights[0] == pytest.approx(body.surface_area_exact(), rel=1e-15)
+            _pos, _nrm, _wgt, ok = self.batch(body)
+            assert ok.all()
+            for pos in (body.boundary_arrays(3000, 4)[0],
+                        body.stratified_boundary(50, 4)[0]):
+                radial = np.linalg.norm(pos - 0.5, axis=1)
+                assert np.allclose(radial, 2.0, rtol=0.0, atol=1e-12)
+
+    def test_general_intersections_keep_the_mixture(self):
+        # a half-ball's mixture still builds (the benchmark fills it); a
+        # third member puts the same body back on the rejection mixture
+        body = presets.half_ball(3)
+        samplers, areas = body._mixture
+        assert len(samplers) == 2 and np.all(areas > 0.0)
+        forced = cg.Intersection([*body.members, cg.Box(-2.0 * np.ones(3),
+                                                        2.0 * np.ones(3))])
+        assert forced._half_ball_strata is None
+        assert np.array_equal(forced._strata()[1], forced._mixture[1])
 
 
 def monomials(n, degree):
@@ -1120,8 +1311,13 @@ class TestCubature:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         area = body.surface_area_exact()
-        if area is not None:
-            nodes, w = cg.boundary_cubature(body, 3)
+        rule = cg.boundary_cubature(body, 3)
+        # every body here has an exact area; only the ellipsoid's boundary
+        # has no rule
+        assert area is not None
+        assert (rule is None) == isinstance(body, cg.Ellipsoid)
+        if rule is not None:
+            nodes, w = rule
             assert w.sum() == pytest.approx(area, rel=1e-13)
             assert np.abs(body.distances_many(nodes)).max() <= 1e-12
 

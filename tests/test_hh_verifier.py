@@ -321,9 +321,12 @@ class TestBoundaryIntegral:
     def test_ellipse_weighted_constant(self):
         from scipy.special import ellipe
 
+        # the area is a closed form and f = 1 has no variance, so the
+        # weighted mean times the area is the perimeter, exactly
         est = hh.boundary_integral(presets.beck_ellipsoid(2),
                                    hh.Affine(1.0, [0.0, 0.0]), CFG)
-        assert abs(est.mean - 8.0 * ellipe(0.5)) <= 3.0 * est.stderr
+        assert est.stderr == 0.0
+        assert est.mean == pytest.approx(8.0 * ellipe(0.5), rel=1e-12)
 
 
 class TestVerifyTheorem1:
@@ -441,8 +444,16 @@ class TestExactCubaturePath:
                 est = integral(body, oracles.sampled(fn), _EXACT_CFG)
                 assert abs(exact.mean - est.mean) \
                     <= 5.0 * est.stderr + 1e-12 * abs(truth), (fn_name, integral)
-            if boundary is None:  # the ellipsoid's boundary stays sampled
-                assert hh.boundary_integral(body, fn, _EXACT_CFG).stderr > 0.0
+            if boundary is None:
+                # the ellipsoid's boundary stays sampled, but its area is a
+                # closed form: the constant's boundary integral is exact
+                rhs = hh.boundary_integral(body, fn, _EXACT_CFG)
+                if fn_name == "constant":
+                    assert rhs.stderr == 0.0
+                    assert rhs.mean == pytest.approx(
+                        oracles.ellipsoid_area_mp(body.semi_axes), rel=1e-12)
+                else:
+                    assert rhs.stderr > 0.0, fn_name
         norm = presets.shifted_norm_fn(body)
         assert hh.volume_integral(body, norm, _EXACT_CFG).stderr > 0.0
 
