@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            cg.SamplingStarved) as exc:
+            cg.SamplingStarved, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

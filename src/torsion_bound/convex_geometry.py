@@ -299,9 +299,10 @@ def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
 
 def _unit_ball_points(key: int, ids: np.ndarray, n: int) -> np.ndarray:
     """Uniform points of the unit ball, one per id: a direction (counter
-    0) times U^(1/n), U slot 0 of counter 1."""
-    radius = rng.uniforms(key, ids, 1, 1)[:, 0] ** (1.0 / n)
-    return rng.unit_vectors(key, ids, 0, n) * radius[:, None]
+    0) times U^(1/n), U slot 0 of counter 1.  The ids are keyed once."""
+    keys = rng.unit_keys(key, ids)
+    radius = rng.draw_uniforms(keys, 1, 1) ** (1.0 / n)
+    return rng.draw_unit_vectors(keys, 0, n) * radius
 
 
 # ---------------------------------------------------------------------------

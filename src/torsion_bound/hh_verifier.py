@@ -22,21 +22,23 @@ ellipsoid boundaries (where a constant f is exact to rounding, as the
 area is) and intersections (the half-balls among them).
 
 Shared draws.  Every sample the checks use depends on the body and the
-seed, never on f: the 512 interior and 512 boundary certificate probes
-(keyed by (seed, _TAG_CERT, 1 or 2)), the cfg.samples uniform interior
-points (seed, _TAG_VOLUME_INT), the cfg.samples weighted boundary points
-(seed, _TAG_BOUNDARY_INT), and the volume and surface area.  Interior
-points are exact draws, one candidate per point, except on intersections,
-which reject from their bounding box.  The volume and area are closed
-forms except on an intersection other than a ball cut by one
-half-space, where they are Monte Carlo estimates on (cfg.seed,
-cfg.samples).  They are drawn once per (body identity, cfg.seed,
-cfg.samples) into a read-only sample set that every function on that body
-reuses, so checking several functions on one body draws once and gives
-the same numbers, bit for bit, as drawing afresh for each.  The most
-recent set, normals excluded, stays in memory between calls (about
-(2n + 1) cfg.samples floats) until a call with another key replaces it.
-A test function must not write into the points it is given.
+seed, never on f, and is drawn on first use: the 512 interior and 512
+boundary certificate probes (keyed by (seed, _TAG_CERT, 1 or 2)), and for
+a sampled integral the cfg.samples uniform interior points (seed,
+_TAG_VOLUME_INT) or the cfg.samples weighted boundary points (seed,
+_TAG_BOUNDARY_INT), with the volume and surface area.  An exact pair
+draws only the probes.  Interior points are exact draws, one candidate
+per point, except on intersections, which reject from their bounding box.
+The volume and area are closed forms except on an intersection other
+than a ball cut by one half-space, where they are Monte Carlo estimates
+on (cfg.seed, cfg.samples).  The probes of the most recent (body
+identity, seed), and the draws made so far for the most recent (body
+identity, cfg.seed, cfg.samples), stay in memory, read-only, until a
+call with another key replaces them; so checking several functions on
+one body draws each sample once and gives the same numbers, bit for bit,
+as drawing afresh for each.  The samples, normals excluded, take up to
+(2n + 1) cfg.samples floats.  A test function must not write into the
+points it is given.
 
 JSON schema for functions (fn_from_json raises ValueError on anything
 else):
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -342,29 +345,7 @@ def fn_from_json(doc, dimension: int) -> SubharmonicFn:
 
 
 # ---------------------------------------------------------------------------
-# the shared sample set
-
-
-@dataclass(frozen=True)
-class _SampleSet:
-    """Every draw the checks make on one (body, seed, samples): the
-    certificate probes, the uniform solid sample, the weighted boundary
-    sample, the volume and the surface area.  The arrays are read-only."""
-
-    body: cg.ConvexBody
-    seed: int
-    samples: int
-    cert_interior: np.ndarray
-    cert_boundary: np.ndarray
-    interior: np.ndarray
-    boundary: np.ndarray
-    weights: np.ndarray
-    volume: Estimate
-    area: Estimate
-
-
-# the most recently drawn set; one body's set at a time stays in memory
-_held: _SampleSet | None = None
+# the shared draws, each made on first use
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -373,8 +354,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _draw_cert_probes(body: cg.ConvexBody, seed: int):
-    """(interior, boundary) certificate probe positions."""
+@lru_cache(maxsize=1)
+def _cert_probes(body: cg.ConvexBody, seed: int):
+    """(interior, boundary) certificate probe positions of (body, seed)."""
     boundary = body.boundary_arrays(_CERT_PROBES,
                                     rng.derive(seed, _TAG_CERT, 2))[0]
     interior = cg.interior_points(body, _CERT_PROBES,
@@ -382,39 +364,42 @@ def _draw_cert_probes(body: cg.ConvexBody, seed: int):
     return _read_only(interior, boundary)
 
 
-def _sample_set(body: cg.ConvexBody, cfg: WosConfig) -> _SampleSet:
-    """The held set when it was drawn for this body (by identity),
-    cfg.seed and cfg.samples; otherwise a fresh draw, which replaces it.
+@dataclass(frozen=True)
+class _SampleSet:
+    """What the sampled integrals on one (body, seed, samples) read, each
+    drawn on first use: the weighted boundary sample, the uniform solid
+    sample, the volume and the surface area.  The arrays are read-only."""
 
-    The held set is dropped before the draw, and the boundary sample, the
-    largest transient, is drawn first, so no two sets are in memory at
-    once.  The boundary normals are not kept."""
-    global _held
-    held = _held
-    if (held is not None and held.body is body and held.seed == cfg.seed
-            and held.samples == cfg.samples):
-        return held
-    _held = held = None
-    pos, _nrm, wgt = body.boundary_arrays(
-        cfg.samples, rng.derive(cfg.seed, _TAG_BOUNDARY_INT))
-    del _nrm
-    interior = cg.interior_points(body, cfg.samples,
-                                  rng.derive(cfg.seed, _TAG_VOLUME_INT))
-    cert_interior, cert_boundary = _draw_cert_probes(body, cfg.seed)
-    _held = _SampleSet(body, cfg.seed, cfg.samples, cert_interior,
-                       cert_boundary, *_read_only(interior, pos, wgt),
-                       volume=cg.volume(body, cfg),
-                       area=cg.surface_area(body, cfg))
-    return _held
+    body: cg.ConvexBody
+    cfg: WosConfig
+
+    @cached_property
+    def boundary(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, weights); the normals are not kept."""
+        pos, _nrm, wgt = self.body.boundary_arrays(
+            self.cfg.samples, rng.derive(self.cfg.seed, _TAG_BOUNDARY_INT))
+        return _read_only(pos, wgt)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        return _read_only(cg.interior_points(
+            self.body, self.cfg.samples,
+            rng.derive(self.cfg.seed, _TAG_VOLUME_INT)))[0]
+
+    @cached_property
+    def volume(self) -> Estimate:
+        return cg.volume(self.body, self.cfg)
+
+    @cached_property
+    def area(self) -> Estimate:
+        return cg.surface_area(self.body, self.cfg)
 
 
-def _cert_probes(body: cg.ConvexBody, seed: int):
-    """The held set's certificate probes when it belongs to this body and
-    seed (they do not depend on its sample count), else a fresh draw."""
-    held = _held
-    if held is not None and held.body is body and held.seed == seed:
-        return held.cert_interior, held.cert_boundary
-    return _draw_cert_probes(body, seed)
+@lru_cache(maxsize=1)
+def _sample_set(body: cg.ConvexBody, seed: int, samples: int) -> _SampleSet:
+    # the cache drops the last set when it makes this one, before anything
+    # is drawn into it, so no two sets are in memory at once
+    return _SampleSet(body, WosConfig(samples=samples, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +419,8 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
     polynomial kinds whose symbolic Laplacian is constant-sign); raises
     CertificateError with a witness on failure.
 
-    The probes are keyed by (seed, probe index) only; they are those of
-    the held sample set when it belongs to this body and seed."""
+    The probes are keyed by (seed, probe index) only, and drawn once for
+    the most recent body and seed."""
     for anchor in _anchors(fn):
         if cg.contains(body, anchor):
             raise CertificateError("shifted-norm anchor lies inside the body",
@@ -481,12 +466,12 @@ def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     None) of degree at most cg.CUBATURE_MAX_DEGREE on a ball, ellipsoid,
     box or polytope: the weighted sum of f at the nodes of cg.cubature.
     Otherwise the mean of f over uniform interior samples times the body
-    volume; both come from the sample set of (body, cfg.seed,
+    volume; both are drawn, on first use, for (body, cfg.seed,
     cfg.samples)."""
     rule = _exact_rule(cg.cubature, body, fn)
     if rule is not None:
         return Estimate.exact(rule[1] @ fn.value(rule[0]))
-    s = _sample_set(body, cfg)
+    s = _sample_set(body, cfg.seed, cfg.samples)
     return product_estimate(Estimate.from_values(fn.value(s.interior)),
                             s.volume)
 
@@ -501,26 +486,35 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     times the surface area; the stderr includes the weight variance (delta
     method on the self-normalized ratio) and the area's, which is 0 but
     on intersections other than half-balls.  A constant f then has
-    stderr 0 up to rounding (0 for f = 1).  Samples, weights and area
-    come from the sample set of (body, cfg.seed, cfg.samples)."""
+    stderr 0 up to rounding (0 for f = 1).  Samples, weights and area are
+    drawn, on first use, for (body, cfg.seed, cfg.samples)."""
     rule = _exact_rule(cg.boundary_cubature, body, fn)
     if rule is not None:
         return Estimate.exact(rule[1] @ fn.value(rule[0]))
-    s = _sample_set(body, cfg)
-    wgt = s.weights
-    vals = fn.value(s.boundary)
+    s = _sample_set(body, cfg.seed, cfg.samples)
+    pos, wgt = s.boundary
+    vals = fn.value(pos)
     wsum = wgt.sum()
     mean = float(np.sum(wgt * vals) / wsum)
     m = len(vals)
     resid = wgt * (vals - mean) / (wsum / m)
     se_mean = float(np.std(resid, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    area = s.area
-    var = (mean * area.stderr) ** 2 + (area.mean * se_mean) ** 2
-    return Estimate(mean=mean * area.mean, stderr=math.sqrt(var), samples=m)
+    return product_estimate(Estimate(mean, se_mean, m), s.area)
 
 
 # ---------------------------------------------------------------------------
 # the two verification operations
+
+
+def _certified_integrals(body: cg.ConvexBody, fn: SubharmonicFn,
+                         cfg: WosConfig) -> tuple[Estimate, Estimate]:
+    """(solid, boundary) integrals of f once both certificates pass.  The
+    boundary integral is taken first, so a sampled f draws the boundary
+    sample, the largest transient, before the solid one."""
+    certify_subharmonic(body, fn, seed=cfg.seed)
+    certify_boundary_nonnegative(body, fn, seed=cfg.seed)
+    rhs = boundary_integral(body, fn, cfg)
+    return volume_integral(body, fn, cfg), rhs
 
 
 def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
@@ -538,16 +532,13 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     rule (its area is a closed form); half-balls and shifted norms are
     sampled on both sides, with the half-ball's volume and area exact.
 
-    Certificates, integrals and the volume all use the sample set of
-    (body, cfg.seed, cfg.samples), so calls on one body with several
-    functions draw once."""
-    s = _sample_set(body, cfg)
-    certify_subharmonic(body, fn, seed=cfg.seed)
-    certify_boundary_nonnegative(body, fn, seed=cfg.seed)
+    Each draw is made on first use and kept for later calls with the same
+    body, seed and sample count (see the module docstring): a pair exact
+    on both sides draws only the certificate probes, and several
+    functions on one body share every sample."""
+    lhs, rhs = _certified_integrals(body, fn, cfg)
     n = body.dimension
-    lhs = volume_integral(body, fn, cfg)
-    rhs = boundary_integral(body, fn, cfg)
-    vol = s.volume
+    vol = _sample_set(body, cfg.seed, cfg.samples).volume
     root = vol.mean ** (1.0 / n)
     bound = GRADIENT_CONSTANT * root * rhs.mean
     bound_se = math.hypot(
@@ -575,13 +566,9 @@ def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
     """Check the sharper intermediate inequality
     int_Omega f <= (max du/dnu) int_dOmega f with the sampled gradient
     maximum; numerically implies the theorem whenever the gradient bound
-    also holds.  Certificates and integrals use the sample set of
-    (body, cfg.seed, cfg.samples), shared with verify_theorem1."""
-    _sample_set(body, cfg)
-    certify_subharmonic(body, fn, seed=cfg.seed)
-    certify_boundary_nonnegative(body, fn, seed=cfg.seed)
-    lhs = volume_integral(body, fn, cfg)
-    rhs = boundary_integral(body, fn, cfg)
+    also holds.  Certificates and integrals draw as in verify_theorem1,
+    and share its draws."""
+    lhs, rhs = _certified_integrals(body, fn, cfg)
     grad = wos.max_normal_derivative(body, cfg, boundary_samples)
     bound = grad.estimate.mean * rhs.mean
     bound_se = math.hypot(grad.estimate.stderr * rhs.mean,

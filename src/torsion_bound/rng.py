@@ -89,8 +89,11 @@ def draw_uniforms(keys: np.ndarray, counter: int, nslots: int) -> np.ndarray:
 
 
 def draw_unit_vectors(keys: np.ndarray, counter: int, dim: int) -> np.ndarray:
-    """``unit_vectors`` from per-unit keys.  Dimensions 2 and 3 use exact
-    angle maps (1 and 2 uniforms); higher ones normalize a Gaussian."""
+    """``unit_vectors`` from per-unit keys.  Dimension 1 takes the sign of
+    u - 1/2, the sign of the Gaussian ndtri(u); dimensions 2 and 3 use
+    exact angle maps (1 and 2 uniforms); higher ones normalize a Gaussian."""
+    if dim == 1:
+        return np.where(draw_uniforms(keys, counter, 1) < 0.5, -1.0, 1.0)
     if dim == 2:
         theta = 2.0 * np.pi * draw_uniforms(keys, counter, 1)[:, 0]
         return np.column_stack((np.cos(theta), np.sin(theta)))

@@ -7,18 +7,18 @@ problem, ray casting for distances, 50-digit Newton iteration for the exact
 ellipsoid distance, central differences for Laplacians, radial or tensor
 quadrature for polynomial integrals over balls, ellipsoids and boxes,
 sphere moments and Dirichlet integrals for the cubature rules, and
-rational arithmetic for polynomial values.  The library's earlier loops (the
-per-path and unfloored block crossing simulations, the per-slot draws and
-walk, the row-by-row box and polytope reductions) are kept verbatim as
-references that the faster code must match bit for bit, its earlier
-polytope face areas by linear programs as the reference for the
-vertex-enumerated ones, and its earlier ``pow`` polynomial kernel as the
-error reference for the multiplication kernel.  Uniform laws on simplices
-and polytopes are checked against closed-form moments summed over a qhull
-triangulation, and the half-ball volume, area and boundary height
-moment against mpmath quadrature over slices.  The ellipsoid area is
-checked against mpmath quadrature in s of its Gaussian integral, which the
-library takes by the trapezoid rule in log s.
+rational arithmetic for polynomial values.  The library's earlier loops
+(the per-path and unfloored block crossing simulations, the per-slot draws
+and walk, the row-by-row box and polytope reductions, the twice-keyed
+unit-ball draw) are kept verbatim as references that the faster code must
+match bit for bit, its earlier polytope face areas by linear programs as
+the reference for the vertex-enumerated ones, and its earlier ``pow``
+polynomial kernel as the error reference for the multiplication kernel.
+Uniform laws on simplices and polytopes are checked against closed-form
+moments summed over a qhull triangulation, and the half-ball volume, area
+and boundary height moment against mpmath quadrature over slices.  The
+ellipsoid area is checked against mpmath quadrature in s of its Gaussian
+integral, which the library takes by the trapezoid rule in log s.
 """
 
 import math
@@ -522,6 +522,15 @@ def unit_vectors_per_slot(key: int, units: np.ndarray, counter: int,
     norm = np.linalg.norm(g, axis=1)
     norm[norm < 1e-300] = 1.0
     return g / norm[:, None]
+
+
+def unit_ball_points_two_keys(key: int, ids: np.ndarray,
+                              n: int) -> np.ndarray:
+    """Reference for convex_geometry._unit_ball_points: its earlier form,
+    which keys the ids once for the radius and once for the direction,
+    on the per-slot references (in n = 1 a normalized ndtri Gaussian)."""
+    radius = uniforms_per_slot(key, ids, 1, 1)[:, 0] ** (1.0 / n)
+    return unit_vectors_per_slot(key, ids, 0, n) * radius[:, None]
 
 
 def _torsion_block_per_step(body, x, cfg, key, lo, hi, values) -> int:

@@ -326,6 +326,29 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    _BALL = '{"type": "ball", "center": [0, 0], "radius": 1}'
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--fn", '{"kind": "positive_combination", "terms": [{"weight": 1, '
+                 '"fn": ' * 2000 + '{"kind": "affine", "constant": 1, '
+                 '"linear": [0, 0]}' + "}]}" * 2000),
+        ("--body", "[" * 100_000),
+        ("--body", '{"dimension": 2, "shape": '
+                   + '{"type": "intersection", "members": [%s, ' % _BALL * 2000
+                   + _BALL + "]}" * 2000 + "}"),
+    ], ids=["combinations", "brackets", "intersections"])
+    def test_deeply_nested_json_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      flag, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        argv = ["verify-hh", "--body", "unit-box-n2", "--fn", "constant",
+                "--boundary-samples", "8"] + BASE
+        argv[argv.index(flag) + 1] = str(path)
+        code = run(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["verify-hh", "--preset", "half-disk-affine", "--samples", "1"],
         ["gradient", "--body", "unit-ball-n2", "--samples", "1",

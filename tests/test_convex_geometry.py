@@ -887,6 +887,15 @@ class TestExactSamplers:
     SAMPLES = 200_000
     Z = 5.0  # every moment below is checked at 5 standard errors
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_unit_ball_points_key_once(self, n):
+        # bit for bit the earlier draw, which keyed every id twice
+        ids = np.arange(1000, 51_000, dtype=np.uint64)
+        for key in (0, 17, rng.derive(5, 2)):
+            assert np.array_equal(
+                cg._unit_ball_points(key, ids, n),
+                oracles.unit_ball_points_two_keys(key, ids, n))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_simplex_interior_moments(self, n):
         body = presets.simplex(n, scale=1.5)

@@ -500,51 +500,85 @@ class _WritesInput(hh.Affine):
         return super().value(X)
 
 
-def _fresh(body, fn, cfg, monkeypatch):
-    """verify_theorem1 with no sample set held."""
-    monkeypatch.setattr(hh, "_held", None)
+def _clear_draws():
+    """Drop the kept certificate probes and sample set."""
+    hh._cert_probes.cache_clear()
+    hh._sample_set.cache_clear()
+
+
+def _fresh(body, fn, cfg):
+    """verify_theorem1 with no draws kept."""
+    _clear_draws()
     return hh.verify_theorem1(body, fn, cfg)
 
 
+def _count_draws(monkeypatch):
+    """The draws made from here on, with no draws kept, in order: ("solid",
+    count) for each call of cg.interior_points and ("boundary", count) for
+    each of ConvexBody.boundary_arrays."""
+    draws = []
+    inner_solid = cg.interior_points
+    inner_boundary = cg.ConvexBody.boundary_arrays
+
+    def counted_solid(body, count, key):
+        draws.append(("solid", count))
+        return inner_solid(body, count, key)
+
+    def counted_boundary(self, count, key):
+        draws.append(("boundary", count))
+        return inner_boundary(self, count, key)
+
+    _clear_draws()
+    monkeypatch.setattr(cg, "interior_points", counted_solid)
+    monkeypatch.setattr(cg.ConvexBody, "boundary_arrays", counted_boundary)
+    return draws
+
+
 class TestSharedSampleSet:
-    def test_interleaved_calls_equal_fresh_computations(self, monkeypatch):
+    def test_interleaved_calls_equal_fresh_computations(self):
         a, b = half_disk(), presets.simplex(2)
         f1, f2 = hh.Affine(1.0, [0.0, -1.0]), hh.ShiftedNorm([3.0, 0.0])
         order = [(a, f1), (b, f1), (a, f2), (a, f1)]
         shared = [hh.verify_theorem1(body, fn, FAST) for body, fn in order]
-        fresh = [_fresh(body, fn, FAST, monkeypatch) for body, fn in order]
+        fresh = [_fresh(body, fn, FAST) for body, fn in order]
         assert shared == fresh
 
     def test_seed_samples_and_body_key_the_set(self, monkeypatch):
-        draws = []
-        inner = cg.interior_points
-
-        def counted(body, count, key):
-            draws.append(count)
-            return inner(body, count, key)
-
-        monkeypatch.setattr(hh, "_held", None)
-        monkeypatch.setattr(cg, "interior_points", counted)
+        draws = _count_draws(monkeypatch)
         body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])
         reseeded = FAST.replace(seed=3)
-        # one solid sample and one certificate draw per new set
+        # the certificate probes, then a sampled pair's boundary sample
+        # before its solid one
+        new_set = [("boundary", 512), ("solid", 512),
+                   ("boundary", FAST.samples), ("solid", FAST.samples)]
         first = hh.verify_theorem1(body, f, FAST)
         hh.verify_theorem1(body, hh.Affine(2.0, [0.0, -1.0]), FAST)
-        assert draws == [FAST.samples, 512]
+        assert draws == new_set
         second = hh.verify_theorem1(body, f, reseeded)
-        assert draws[2:] == [FAST.samples, 512]
+        assert draws[4:] == new_set
+        # a new sample count on the same body and seed keeps the probes
         hh.hh_via_torsion(body, f, reseeded.replace(samples=1000),
                           boundary_samples=4)
-        assert draws[4:] == [1000, 512]
-        # an equal body that is another object draws its own set
+        assert draws[8:] == [("boundary", 1000), ("solid", 1000)]
+        # an equal body that is another object draws its own
         hh.verify_theorem1(half_disk(), f, FAST)
-        assert draws[6:] == [FAST.samples, 512]
+        assert draws[10:] == new_set
         assert second != first
-        assert second == _fresh(body, f, reseeded, monkeypatch)
+        assert second == _fresh(body, f, reseeded)
 
-    def test_function_writing_its_input_raises(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["unit-box-n3", "simplex-n4",
+                                      "unit-ball-n3"])
+    def test_exact_pair_draws_only_the_probes(self, monkeypatch, name):
+        body = presets.body_preset(name)
+        fn = presets.harmonic_cubic(body)
+        draws = _count_draws(monkeypatch)
+        rep = hh.verify_theorem1(body, fn, CFG.replace(samples=30_000))
+        assert rep.measured.stderr == rep.bound_stderr == 0.0
+        assert draws == [("boundary", 512), ("solid", 512)]
+
+    def test_function_writing_its_input_raises(self):
         body, f = half_disk(), hh.Affine(1.0, [0.0, -1.0])
-        expected = _fresh(body, f, FAST, monkeypatch)
+        expected = _fresh(body, f, FAST)
         for bad in (_WritesInput(1.0, [0.0, -1.0]),
                     hh.PositiveCombination([(1.0, _WritesInput(1.0, [0.0, 0.0]))])):
             with pytest.raises(ValueError, match="read-only"):

@@ -70,7 +70,7 @@ class TestUnitVectors:
 class TestPerSlotReference:
     """The draws equal the earlier per-slot implementation bit for bit."""
 
-    @pytest.mark.parametrize("dim", range(2, 10))
+    @pytest.mark.parametrize("dim", range(1, 10))
     def test_draws_equal(self, dim):
         for counter in (0, 7, 2**20):
             for count in (0, 1, 7, 1500):
