@@ -1,13 +1,14 @@
 """Convex bodies in R^n with the oracles the samplers consume.
 
 Representations: Ball, axis-aligned Ellipsoid, Box, H-polytope, and
-Intersection.  Each body answers membership, a certified distance to the
+Intersection.  Each body answers a signed, certified distance to the
 boundary (exact for ball/box/polytope, a safe lower bound for ellipsoids
 and intersections — safe means the inscribed sphere used by the
-walk-on-spheres step always stays inside the body), bounding box, volume
-and surface area (closed forms except for intersections, which use Monte
-Carlo unless they are a ball cut by one half-space), and surface-measure
-boundary sampling with per-point importance weights.
+walk-on-spheres step always stays inside the body), whose sign is its
+membership, bounding box, volume and surface area (closed forms except
+for intersections, which use Monte Carlo unless they are a ball cut by
+one half-space), and surface-measure boundary sampling with per-point
+importance weights.
 
 Only this module knows how a body's boundary is stratified (the faces of
 a box or polytope, the kept cap and flat face of a half-ball, the members
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -111,11 +112,16 @@ class ConvexBody:
     # -- membership and distance ------------------------------------------
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Membership in the closed body: the sign of ``distances_many``."""
+        return self.distances_many(points) >= 0.0
 
     def distances_many(self, points: np.ndarray) -> np.ndarray:
-        """Distance to the boundary for interior points (certified lower
-        bound, exact where the class docstring says so)."""
+        """Signed distance to the boundary: >= 0 on the closed body and
+        < 0 outside, up to rounding.  Inside it is a certified lower bound
+        on the distance, exact where the class docstring says so.  Ball,
+        box and polytope distances are exact on both sides, an ellipsoid
+        returns b_min (1 - sqrt(q)) <= 0 outside, and an intersection the
+        minimum over its members."""
         raise NotImplementedError
 
     # -- derived geometry ---------------------------------------------------
@@ -146,8 +152,9 @@ class ConvexBody:
     def _interior_batch(self, key: int, ids: np.ndarray):
         """One interior candidate per id: (positions, ok), ok marking the
         candidates inside the body.  Here uniform in the bounding box
-        (slots 0..n-1 of counter 0), accepted by ``contains_many``; bodies
-        with an exact draw override it and accept every candidate."""
+        (slots 0..n-1 of counter 0), accepted where ``distances_many`` is
+        >= 0; bodies with an exact draw override it and accept every
+        candidate."""
         lo, hi = self.bounding_box()
         pts = lo + rng.uniforms(key, ids, 0, self.dimension) * (hi - lo)
         return pts, self.contains_many(pts)
@@ -412,10 +419,6 @@ class Ball(ConvexBody):
         self.radius = float(radius)
         self.dimension = center.size
 
-    def contains_many(self, points):
-        d = points - self.center
-        return np.einsum("ij,ij->i", d, d) <= self.radius * self.radius
-
     def distances_many(self, points):
         d = points - self.center
         return self.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
@@ -499,13 +502,6 @@ class Ellipsoid(ConvexBody):
         self.center = center
         self.semi_axes = semi_axes
         self.dimension = center.size
-
-    def _q(self, points):
-        z = (points - self.center) / self.semi_axes
-        return np.einsum("ij,ij->i", z, z)
-
-    def contains_many(self, points):
-        return self._q(points) <= 1.0
 
     def distances_many(self, points):
         # scaled by b_min: r = b_min gap / (h + sqrt(h^2 + gap)), h = b_min g
@@ -624,13 +620,8 @@ class Box(ConvexBody):
         self.upper = upper
         self.dimension = lower.size
 
-    # Both reduce along the long axis of the transposed points: numpy
-    # reduces a row of n values slowly, and min and all are exact.
-    def contains_many(self, points):
-        pt = np.ascontiguousarray(points.T)
-        return ((pt >= self.lower[:, None])
-                & (pt <= self.upper[:, None])).all(axis=0)
-
+    # Reduces along the long axis of the transposed points: numpy reduces
+    # a row of n values slowly, and min is exact.
     def distances_many(self, points):
         pt = np.ascontiguousarray(points.T)
         return np.minimum(pt - self.lower[:, None],
@@ -809,14 +800,6 @@ def _facets(on, ids, d: int, maximal: bool = False):
             yield j, sel, key
 
 
-def _uniform_slots(key: int, ids: np.ndarray, slots: int) -> np.ndarray:
-    """``slots`` uniforms per id: slots 0..MAX_SLOTS-1 of counter 0, then
-    of counter 1, and so on."""
-    return np.hstack([rng.uniforms(key, ids, k, min(rng.MAX_SLOTS,
-                                                    slots - k * rng.MAX_SLOTS))
-                      for k in range(-(-slots // rng.MAX_SLOTS))])
-
-
 @dataclass(frozen=True)
 class _Simplex:
     """A simplicial face (a segment included), given by its d + 1
@@ -936,10 +919,11 @@ class _Face:
 class Polytope(ConvexBody):
     """Bounded intersection of half-spaces {x : a_i . x <= c_i}.
 
-    Boundedness is validated at construction with linear programs in all
-    +-coordinate directions, and one more finds the Chebyshev centre
-    (inradius and interior point), unless require_bounded=False (used for
-    half-space members of a bounded intersection, where faces and exact
+    The bounding box comes from linear programs in all +-coordinate
+    directions, solved once at construction.  They validate boundedness,
+    and one more finds the Chebyshev centre (inradius and interior point),
+    unless require_bounded=False (used for half-space members of a bounded
+    intersection, whose box may be infinite and whose faces and exact
     areas are never requested directly).
 
     The face tables take no linear program.  qhull enumerates the vertices
@@ -972,23 +956,19 @@ class Polytope(ConvexBody):
             raise ValueError("polytope dimension must be >= 2")
         self.dimension = self.A.shape[1]
         self.require_bounded = bool(require_bounded)
+        self._bbox = _hrep_bbox(self.A, self.c)
         if require_bounded:
-            lo, hi = _hrep_bbox(self.A, self.c)
+            lo, hi = self._bbox
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
                 raise ValueError("polytope is unbounded")
-            self._bbox = (lo, hi)
             center, radius = _chebyshev_center(self.A, self.c)
             if center is None or radius <= _TOL * max(1.0, float(np.abs(hi).max())):
                 raise ValueError("polytope has empty interior")
             self._center = center
             self._inradius = radius
 
-    # Both reduce over faces along the long axis of the transposed
-    # product (min and all are exact); A @ points.T would round unlike it.
-    def contains_many(self, points):
-        q = np.ascontiguousarray((points @ self.A.T).T)
-        return (q <= self.c[:, None]).all(axis=0)
-
+    # Reduces over faces along the long axis of the transposed product
+    # (min is exact); A @ points.T would round unlike it.
     def distances_many(self, points):
         if len(points) == 1:
             # numpy multiplies a single row by gemv, which rounds unlike
@@ -999,9 +979,6 @@ class Polytope(ConvexBody):
         return np.subtract(self.c[:, None], q, out=q).min(axis=0)
 
     def bounding_box(self):
-        if not self.require_bounded:
-            lo, hi = _hrep_bbox(self.A, self.c)
-            return lo, hi
         return self._bbox[0].copy(), self._bbox[1].copy()
 
     def inradius(self):
@@ -1086,14 +1063,14 @@ class Polytope(ConvexBody):
         sampler = face.sampler
 
         def draw(ids):
-            pos = sampler.draw(_uniform_slots(key, ids, sampler.slots), 0)
+            pos = sampler.draw(rng.uniforms(key, ids, 0, sampler.slots), 0)
             return (pos, np.tile(-face.normal, (len(ids), 1)),
                     np.full(len(ids), face.area), np.ones(len(ids), dtype=bool))
         return draw
 
     def _interior_batch(self, key, ids):
         sampler = self._lattice[1]
-        return (sampler.draw(_uniform_slots(key, ids, sampler.slots), 0),
+        return (sampler.draw(rng.uniforms(key, ids, 0, sampler.slots), 0),
                 np.ones(len(ids), dtype=bool))
 
     @cached_property
@@ -1127,9 +1104,9 @@ class Intersection(ConvexBody):
     on the member's boundary and accepted inside the other members.
 
     A half-ball (one Ball and one half-space) has closed-form measures and
-    its own strata instead: the kept cap and the flat (n-1)-ball, weighted
+    other strata instead: the kept cap and the flat (n-1)-ball, weighted
     by their exact areas and drawn directly (``_cap_stratum``,
-    ``_flat_stratum``).  ``_mixture`` stays defined for it.
+    ``_flat_stratum``).  ``_mixture`` holds the strata of either kind.
     """
 
     def __init__(self, members):
@@ -1176,12 +1153,6 @@ class Intersection(ConvexBody):
         best = res.x if -res.fun >= float(np.max(depths)) else x0
         return best, float(self.distances_many(best[None, :])[0])
 
-    def contains_many(self, points):
-        ok = self.members[0].contains_many(points)
-        for m in self.members[1:]:
-            ok &= m.contains_many(points)
-        return ok
-
     def distances_many(self, points):
         d = self.members[0].distances_many(points)
         for m in self.members[1:]:
@@ -1197,10 +1168,15 @@ class Intersection(ConvexBody):
     def interior_point(self):
         return self._deep_point.copy()
 
+    @cached_property
     def _half_ball(self):
-        """(ball, a, t) when the members are one Ball and one
+        """(ball, a, t, cap, flat) when the members are one Ball and one
         single-constraint half-space {a . x <= c}, with t = (c - a .
-        center)/R clamped to [-1, 1]; None otherwise."""
+        center)/R clamped to [-1, 1]; None otherwise.  cap and flat are
+        the boundary areas of a ball of radius R cut at height h = tR from
+        its centre: the sphere part kept, by the cap formula of
+        volume_exact with I_(1-t^2)((n-1)/2, 1/2), and the flat (n-1)-ball
+        of radius sqrt(R^2 - h^2)."""
         balls = [m for m in self.members if isinstance(m, Ball)]
         cuts = [m for m in self.members
                 if isinstance(m, Polytope) and len(m.c) == 1]
@@ -1208,23 +1184,13 @@ class Intersection(ConvexBody):
             return None
         ball, cut = balls[0], cuts[0]
         t = (cut.c[0] - cut.A[0] @ ball.center) / ball.radius
-        return ball, cut.A[0], min(max(float(t), -1.0), 1.0)
-
-    def _half_ball_areas(self):
-        """(cap, flat) for a ball of radius R cut at height h = tR from its
-        centre: the sphere part kept, by the cap formula of volume_exact
-        with I_(1-t^2)((n-1)/2, 1/2), and the flat (n-1)-ball of radius
-        sqrt(R^2 - h^2); None for any other intersection."""
-        half = self._half_ball()
-        if half is None:
-            return None
-        ball, _a, t = half
+        t = min(max(float(t), -1.0), 1.0)
         n, radius = self.dimension, ball.radius
         cap = ball_surface_area(n, radius) * _kept_share(0.5 * (n - 1), t)
         # omega_(n-1) (R^2 - h^2)^((n-1)/2), with omega_1 = 2 (a chord)
         flat = (math.pi * (1.0 - t) * (1.0 + t)) ** (0.5 * (n - 1)) \
             / math.gamma(0.5 * (n + 1))
-        return cap, flat * radius ** (n - 1)
+        return ball, cut.A[0], t, cap, flat * radius ** (n - 1)
 
     def volume_exact(self):
         """Closed form for a ball of radius R cut at height h = tR from its
@@ -1232,18 +1198,18 @@ class Intersection(ConvexBody):
         hyperspherical cap", 2011): the cap beyond the plane has volume
         (1/2) omega_n R^n I_(1-t^2)((n+1)/2, 1/2), and it is the body
         itself when t < 0.  None for any other intersection."""
-        half = self._half_ball()
+        half = self._half_ball
         if half is None:
             return None
-        ball, _a, t = half
+        ball, _a, t, _cap, _flat = half
         return ball_volume(self.dimension, ball.radius) \
             * _kept_share(0.5 * (self.dimension + 1), t)
 
     def surface_area_exact(self):
-        """The kept cap plus the flat face (``_half_ball_areas``); None for
-        any other intersection."""
-        areas = self._half_ball_areas()
-        return None if areas is None else float(areas[0] + areas[1])
+        """The kept cap plus the flat face (``_half_ball``); None for any
+        other intersection."""
+        half = self._half_ball
+        return None if half is None else float(half[3] + half[4])
 
     @cached_property
     def diameter(self):
@@ -1253,38 +1219,36 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _mixture(self):
-        """Per-member clipped boundary samplers and their boundary areas:
-        the strata of every intersection but a half-ball."""
+        """(draws, areas) of the boundary strata: ``draws[k](key)`` is the
+        candidate draw of stratum k (see ``_strata``).  A half-ball's are
+        the kept cap and the flat face, weighted by their closed-form
+        areas, without a stratum of zero area (the flat face of a plane
+        missing the ball).  Any other intersection's are its members, each
+        drawn on its boundary (clipped to the bounding box for unbounded
+        half-space members) and accepted inside the other members, and
+        weighted by its boundary area."""
+        half = self._half_ball
+        if half is not None:
+            strata = (self._cap_stratum, self._flat_stratum)
+            return ([draw for area, draw in zip(half[3:], strata) if area > 0.0],
+                    np.array([area for area in half[3:] if area > 0.0]))
         lo, hi = self._bbox
         pad = 1e-9 * max(1.0, float(np.linalg.norm(hi - lo)))
-        samplers = []
+        draws = []
         areas = []
         for idx, m in enumerate(self.members):
             if isinstance(m, Polytope) and not m.require_bounded:
-                clipped = _clip_to_box(m, lo - pad, hi + pad)
-                samplers.append(clipped)
-                areas.append(clipped.surface_area_exact())
+                sampler = _clip_to_box(m, lo - pad, hi + pad)
+                area = sampler.surface_area_exact()
             else:
-                samplers.append(m)
-                exact = m.surface_area_exact()
-                if exact is None:
-                    exact = _pilot_area(m)
-                areas.append(exact)
-        return samplers, np.array(areas, dtype=float)
-
-    @cached_property
-    def _half_ball_strata(self):
-        """(areas, draws) of a half-ball's boundary strata, the kept cap
-        then the flat face, without a stratum of zero area (the flat face
-        of a plane missing the ball); None for any other intersection."""
-        areas = self._half_ball_areas()
-        if areas is None:
-            return None
-        kept = [(area, draw) for area, draw
-                in zip(areas, (self._cap_stratum, self._flat_stratum))
-                if area > 0.0]
-        return (np.array([area for area, _draw in kept]),
-                [draw for _area, draw in kept])
+                sampler = m
+                area = m.surface_area_exact()
+                if area is None:
+                    area = _pilot_area(m)
+            others = self.members[:idx] + self.members[idx + 1:]
+            draws.append(partial(_member_stratum, sampler, others))
+            areas.append(area)
+        return draws, np.array(areas, dtype=float)
 
     def _cap_stratum(self, key):
         """The kept cap {s <= t}, s = a . (x - centre)/R, from one sphere
@@ -1294,7 +1258,7 @@ class Intersection(ConvexBody):
         weighs half the sphere's area, the band -t <= s <= t from one.
         Every candidate lands on the cap when t >= 0; when t < 0 those
         with s <= t do."""
-        ball, a, t = self._half_ball()
+        ball, a, t, _cap, _flat = self._half_ball
         full = ball.surface_area_exact()
 
         def draw(ids):
@@ -1315,8 +1279,7 @@ class Intersection(ConvexBody):
         """The flat face: a uniform (n-1)-ball point (``_unit_ball_points``)
         of radius R sqrt(1 - t^2) in the chart ``_complement(a)`` of the
         plane, centred at centre + tR a; inward normal -a."""
-        ball, a, t = self._half_ball()
-        area = self._half_ball_areas()[1]
+        ball, a, t, _cap, area = self._half_ball
         foot = ball.center + t * ball.radius * a
         chart = ball.radius * math.sqrt((1.0 - t) * (1.0 + t)) \
             * _complement(a).T
@@ -1332,22 +1295,10 @@ class Intersection(ConvexBody):
         return draw
 
     def _strata(self):
-        half = self._half_ball_strata
-        return 41, self._mixture[1] if half is None else half[0]
+        return 41, self._mixture[1]
 
     def _stratum(self, index, key):
-        half = self._half_ball_strata
-        if half is not None:
-            return half[1][index](key)
-        sampler = self._mixture[0][index]
-        others = [m for j, m in enumerate(self.members) if j != index]
-
-        def draw(ids):
-            pos, nrm, wgt, ok = sampler._boundary_batch(key, ids)
-            for m in others:  # a point need only lie in the *other* members
-                ok &= m.contains_many(pos)
-            return pos, nrm, wgt, ok
-        return draw
+        return self._mixture[0][index](key)
 
     def shape_json(self):
         return {"type": "intersection",
@@ -1378,6 +1329,18 @@ class _ClippedPolytope(Polytope):
 
     def _boundary_cubature(self, degree):
         return None  # the kept faces are only part of the boundary
+
+
+def _member_stratum(sampler: ConvexBody, others: list, key: int):
+    """The draw of an intersection member's stratum: candidates of the
+    member's boundary sampler, accepted inside the other members (a point
+    need only lie in those)."""
+    def draw(ids):
+        pos, nrm, wgt, ok = sampler._boundary_batch(key, ids)
+        for m in others:
+            ok &= m.contains_many(pos)
+        return pos, nrm, wgt, ok
+    return draw
 
 
 def _kept_share(a: float, t: float) -> float:
@@ -1423,10 +1386,10 @@ def contains(body: ConvexBody, x) -> bool:
 def distance_to_boundary(body: ConvexBody, x) -> float:
     """Distance from an interior point to the boundary (certified lower
     bound for ellipsoids and intersections, exact otherwise)."""
-    v = _as_vector(x, body.dimension)
-    if not body.contains_many(v[None, :])[0]:
+    d = float(body.distances_many(_as_vector(x, body.dimension)[None, :])[0])
+    if not d >= 0.0:
         raise ValueError("point lies outside the body")
-    return float(max(body.distances_many(v[None, :])[0], 0.0))
+    return d
 
 
 def volume(body: ConvexBody, cfg: WosConfig) -> Estimate:

@@ -113,10 +113,14 @@ def constant_fn(body: cg.ConvexBody) -> SubharmonicFn:
 def height_affine(body: cg.ConvexBody) -> SubharmonicFn:
     """1 - x_last / M with M = sup of the last coordinate over the body;
     reduces to the half-disk example f = 1 - y, which shows c_2 >= 0.2296
-    (weaker than the disk's 1/(2 sqrt(pi)) from cn_lower_bound(2))."""
-    _lo, hi = body.bounding_box()
+    (weaker than the disk's 1/(2 sqrt(pi)) from cn_lower_bound(2)).
+    Requires M > 0."""
+    top = float(body.bounding_box()[1][-1])
+    if not top > 0.0:
+        raise ValueError("height-affine needs the sup of the last coordinate "
+                         f"over the body to be > 0, got {top}")
     linear = np.zeros(body.dimension)
-    linear[-1] = -1.0 / hi[-1]
+    linear[-1] = -1.0 / top
     return Affine(1.0, linear)
 
 

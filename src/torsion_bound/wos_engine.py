@@ -104,10 +104,7 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
     independent estimates passes ``cfg.replace(seed=...)`` per call.
     """
     x = np.asarray(x, dtype=float)
-    if not cg.contains(body, x):
-        raise ValueError("start point lies outside the body")
-    shell = cfg.shell_width * body.diameter
-    if cg.distance_to_boundary(body, x) <= shell:
+    if cg.distance_to_boundary(body, x) <= cfg.shell_width * body.diameter:
         raise ValueError("start point lies inside the absorbing shell")
     key = rng.derive(cfg.seed, _TAG_TORSION)
     values = np.empty(cfg.samples)
@@ -126,9 +123,8 @@ def exit_time_mean(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
 
 def _usable_probe(body: ConvexBody, position, normal, delta, shell):
     probe = position + delta * normal
-    if not body.contains_many(probe[None, :])[0]:
-        return None
-    if float(body.distances_many(probe[None, :])[0]) <= shell:
+    # outside the body the distance is < 0 <= shell
+    if not body.distances_many(probe[None, :])[0] > shell:
         return None
     return probe
 

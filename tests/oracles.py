@@ -593,7 +593,10 @@ def distances_rows(body, points: np.ndarray) -> np.ndarray:
 
 
 def contains_rows(body, points: np.ndarray) -> np.ndarray:
-    """Reference for contains_many, row by row as distances_rows."""
+    """Reference for contains_many, row by row as distances_rows, by the
+    defining inequalities: |x - c|^2 <= R^2 for balls and
+    sum ((x - c)/b)^2 <= 1 for ellipsoids.  Near a sphere or an ellipsoid
+    these may round apart from the sign of the distance."""
     from torsion_bound import convex_geometry as cg
 
     if isinstance(body, cg.Box):
@@ -603,7 +606,13 @@ def contains_rows(body, points: np.ndarray) -> np.ndarray:
     if isinstance(body, cg.Intersection):
         return np.all([contains_rows(m, points) for m in body.members],
                       axis=0)
-    return body.contains_many(points)
+    if isinstance(body, cg.Ball):
+        d = points - body.center
+        return np.einsum("ij,ij->i", d, d) <= body.radius * body.radius
+    if isinstance(body, cg.Ellipsoid):
+        z = (points - body.center) / body.semi_axes
+        return np.einsum("ij,ij->i", z, z) <= 1.0
+    raise TypeError(f"no membership formula for {type(body).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -244,6 +245,24 @@ class TestDeterminismAndErrors:
     def test_json_body_matching_n_accepted(self, tmp_path):
         assert run(["gradient", "--body", self.box_file(tmp_path), "--n", "2",
                     "--samples", "200", "--boundary-samples", "2"]) == 0
+
+    def test_height_affine_on_a_body_topping_out_at_0_exits_2(self, tmp_path,
+                                                              capsys):
+        # 1 - y / sup y is undefined when sup y = 0; numpy warnings would
+        # be lines of stderr too
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps({"dimension": 2, "shape": {
+            "type": "box", "lower": [0, -1], "upper": [1, 0]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify-hh", "--body", str(path), "--fn",
+                        "height-affine"] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: height-affine needs the sup "
+                                       "of the last coordinate")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("extra", [
         ["--body", "unit-box-n3", "--fn", "shifted-norm"],

@@ -212,7 +212,8 @@ class TestEllipsoidDistance:
 
 
 # Boxes and polytopes reduce along the long axis; these bodies check the
-# result against the row-by-row formulas bit for bit.
+# result against the row-by-row formulas bit for bit, and membership (the
+# sign of the distance) against the defining inequalities.
 ROW_FORMULA_BODIES = {
     "box-n2": lambda: cg.Box([-1.0, -0.5], [2.0, 0.5]),
     "box-n3": lambda: cg.Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
@@ -222,7 +223,20 @@ ROW_FORMULA_BODIES = {
     "polytope-13-n4": lambda: presets.random_polytope(4, 13, seed=5),
     "polytope-40-n4": lambda: presets.random_polytope(4, 40, seed=6),
     "half-disk": half_disk,
+    "ball-n3": lambda: cg.Ball([0.5, -1.0, 2.0], 1.5),
+    "ellipsoid-n3": lambda: cg.Ellipsoid([0.5, -1.0, 2.0], [3.0, 0.4, 1.0]),
+    "ellipsoid-cut-n3": lambda: cg.Intersection([
+        cg.Ellipsoid([0.5, -1.0, 2.0], [3.0, 0.4, 1.0]),
+        cg.Polytope([(np.array([0.6, 0.0, 0.8]), 1.5)],
+                    require_bounded=False)]),
 }
+
+
+def is_flat(body):
+    """True when every member of the body is a box or a polytope."""
+    if isinstance(body, cg.Intersection):
+        return all(map(is_flat, body.members))
+    return isinstance(body, (cg.Box, cg.Polytope))
 
 
 class TestLongAxisReductions:
@@ -238,10 +252,15 @@ class TestLongAxisReductions:
             # point pulled towards the interior: points inside and out
             pull = np.where(np.arange(count) % 2, 0.1, 1.0)[:, None]
             pts = x0 + pull * (lo + (1.4 * u - 0.2) * (hi - lo) - x0)
+            dist = body.distances_many(pts)
             inside = body.contains_many(pts)
-            assert np.array_equal(body.distances_many(pts),
-                                  oracles.distances_rows(body, pts))
-            assert np.array_equal(inside, oracles.contains_rows(body, pts))
+            assert np.array_equal(dist, oracles.distances_rows(body, pts))
+            # within an ulp of a curved boundary the inequality and the
+            # distance may round apart
+            clear = (np.ones(count, dtype=bool) if is_flat(body)
+                     else np.abs(dist) > 1e-12 * body.diameter)
+            assert np.array_equal(inside[clear],
+                                  oracles.contains_rows(body, pts)[clear])
         assert 0 < inside.sum() < count
 
 
@@ -436,8 +455,14 @@ def square_with_cut_corner(depth=1e-9):
 
 
 def clipped_members(n):
-    samplers = presets.half_ball(n)._mixture[0]
-    return [s for s in samplers if isinstance(s, cg._ClippedPolytope)]
+    """The half-space member of presets.half_ball(n) clipped, as a general
+    intersection's mixture clips it, to the body's bounding box grown by
+    1e-9 of its diameter."""
+    body = presets.half_ball(n)
+    lo, hi = body.bounding_box()
+    pad = 1e-9 * scale_of(body)
+    return [cg._clip_to_box(m, lo - pad, hi + pad) for m in body.members
+            if isinstance(m, cg.Polytope)]
 
 
 def hull(poly):
@@ -680,14 +705,15 @@ class TestFaceTables:
         monkeypatch.setattr(cg, "linprog", counted)
         monkeypatch.setattr(cg.Polytope, "__init__", constructor)
         bodies = [presets.simplex(4), presets.body_preset("random-polytope-n3"),
-                  presets.half_ball(3)]
+                  *clipped_members(3)]
+        # a third member puts the half-ball on the general mixture, which
+        # clips its half-space member
+        general = cg.Intersection([*presets.half_ball(3).members,
+                                   cg.Box(-2.0 * np.ones(3), 2.0 * np.ones(3))])
         built = dict(calls)
+        general._mixture
         for body in bodies:
-            members = body._mixture[0] if isinstance(body, cg.Intersection) \
-                else [body]
-            for member in members:
-                if isinstance(member, cg.Polytope):
-                    member.faces, member._face_cum
+            body.faces, body._face_cum
         assert calls["elsewhere"] == built["elsewhere"]
         # filling the tables built the clipped half-space member only
         assert calls["constructor"] - built["constructor"] == 2 * 3 + 1
@@ -721,19 +747,27 @@ class TestBoundarySampling:
 
     def test_positions_on_boundary_and_normals_inward(self):
         lens = cg.Intersection([cg.Ball([0, 0], 1.0), cg.Ball([0.5, 0], 1.0)])
+        below = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.2)],
+                            require_bounded=False)
         bodies = [cg.Ball([0, 0, 0], 2.0),
                   cg.Box([0, 0], [2, 1]),
                   cg.Ellipsoid([1.0, 0.0], [2.0, 1.0]),
                   unit_simplex(3),
                   half_disk(),
                   # a member that is itself an intersection rejects points
-                  cg.Intersection([lens, half_disk().members[1]])]
+                  cg.Intersection([lens, half_disk().members[1]]),
+                  # general intersections with an unbounded half-space
+                  # member, drawn clipped to the bounding box
+                  cg.Intersection([cg.Ellipsoid([0, 0, 0], [1.0, 2.0, 0.5]),
+                                   below]),
+                  cg.Intersection([cg.Ball([0, 0, 0], 1.0), below,
+                                   cg.Box([-0.8, -2.0, -2.0], [2.0, 2.0, 2.0])])]
         for body in bodies:
             pos, nrm, _w = body.boundary_arrays(400, key=11)
             assert np.max(np.abs(body.distances_many(pos))) <= 1e-9 * body.diameter
             assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0, atol=1e-12)
-            assert body.contains_many(pos + 1e-9 * nrm).all()
-            assert not body.contains_many(pos - 1e-9 * nrm).any()
+            assert (body.distances_many(pos + 1e-9 * nrm) >= 0.0).all()
+            assert (body.distances_many(pos - 1e-9 * nrm) < 0.0).all()
 
     def test_bit_identical_given_seed(self):
         body = half_disk()
@@ -1101,7 +1135,7 @@ class TestHalfBallClosedForms:
 
 def boundary_height(body, pos):
     """s = a . (x - centre)/R of half-ball boundary points."""
-    ball, a, _t = body._half_ball()
+    ball, a, _t, _cap, _flat = body._half_ball
     return (pos - ball.center) @ a / ball.radius
 
 
@@ -1146,7 +1180,7 @@ class TestHalfBallSampler:
         pos, _nrm, wgt, ok = self.batch(body)
         vals = wgt * ok * boundary_height(body, pos)
         _vol, _area, height = oracles.half_ball_measures_mp(
-            n, body._half_ball()[0].radius, t)
+            n, body._half_ball[0].radius, t)
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert abs(float(np.mean(vals)) - height) <= 4.0 * se + 1e-12
 
@@ -1154,7 +1188,7 @@ class TestHalfBallSampler:
     @pytest.mark.parametrize("t", T)
     def test_on_the_boundary_with_inward_normals(self, n, t):
         body = self.body(n, t)
-        ball, a, _t = body._half_ball()
+        ball, a, _t, _cap, _flat = body._half_ball
         tol = 1e-12 * ball.radius
         for pos, nrm in (body.boundary_arrays(2000, 11)[:2],
                          body.stratified_boundary(2000, 12)):
@@ -1205,16 +1239,34 @@ class TestHalfBallSampler:
                 radial = np.linalg.norm(pos - 0.5, axis=1)
                 assert np.allclose(radial, 2.0, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_half_ball_mixture_takes_no_linear_program(self, n, monkeypatch):
+        # the cap and the flat face have closed-form areas; the half-space
+        # member is never clipped
+        body = presets.half_ball(n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear program solved")
+
+        monkeypatch.setattr(cg, "linprog", refuse)
+        draws, areas = body._mixture
+        _ball, _a, _t, cap, flat = body._half_ball
+        assert len(draws) == 2 and np.array_equal(areas, [cap, flat])
+        assert body._strata()[1] is areas
+
     def test_general_intersections_keep_the_mixture(self):
-        # a half-ball's mixture still builds (the benchmark fills it); a
-        # third member puts the same body back on the rejection mixture
+        # a third member puts a half-ball back on the rejection mixture of
+        # its members, the half-space one clipped to the bounding box
         body = presets.half_ball(3)
-        samplers, areas = body._mixture
-        assert len(samplers) == 2 and np.all(areas > 0.0)
         forced = cg.Intersection([*body.members, cg.Box(-2.0 * np.ones(3),
                                                         2.0 * np.ones(3))])
-        assert forced._half_ball_strata is None
-        assert np.array_equal(forced._strata()[1], forced._mixture[1])
+        assert forced._half_ball is None
+        draws, areas = forced._mixture
+        (clipped,) = clipped_members(3)
+        assert len(draws) == 3 and forced._strata()[1] is areas
+        assert np.array_equal(areas, [body.members[0].surface_area_exact(),
+                                      clipped.surface_area_exact(),
+                                      forced.members[2].surface_area_exact()])
 
 
 def monomials(n, degree):
