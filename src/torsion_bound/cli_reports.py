@@ -376,8 +376,16 @@ def cmd_constants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 2 with one "error: ..." line on a bad command line, as on any
+    other invalid input; subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsion-bound",
         description="Verify the solid-vs-boundary mean inequality and the "
                     "torsion gradient bound on convex bodies.")

@@ -393,17 +393,13 @@ def _simplex_rule(d: int, degree: int):
     return np.array(bary), np.array(weights)
 
 
-def _simplices_rule(vertices: np.ndarray, degree: int):
-    """The simplex rule on each simplex of ``vertices`` (k, d + 1, n),
-    weighted by its d-measure, the Gram determinant sqrt(det(E E^T))/d!
-    of its edges E."""
-    d = vertices.shape[1] - 1
-    edges = vertices[:, 1:] - vertices[:, :1]
-    gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
-    measure = np.sqrt(np.abs(gram)) / math.factorial(d)
-    bary, w = _simplex_rule(d, degree)
+def _simplices_rule(simplices, degree: int):
+    """The simplex rule on each of ``simplices``, the vertices (k, d + 1, n)
+    and d-measures (k,) a lattice node lists, weighted by the measures."""
+    vertices, measures = simplices
+    bary, w = _simplex_rule(vertices.shape[1] - 1, degree)
     nodes = np.einsum("qj,kjn->kqn", bary, vertices)
-    return nodes.reshape(-1, vertices.shape[2]), np.outer(measure, w).ravel()
+    return nodes.reshape(-1, vertices.shape[2]), np.outer(measures, w).ravel()
 
 
 class Ball(ConvexBody):
@@ -732,6 +728,13 @@ def _coordinate_range(A, c, k: int, sign: float) -> float:
     return float(sign * res.x[k])
 
 
+def _slacks(A, c, points):
+    """min_i (c_i - a_i . x) per point, by one gemm reduced along the long
+    axis of its transpose (min is exact; A @ points.T rounds unlike it)."""
+    q = np.ascontiguousarray((points @ A.T).T)
+    return np.subtract(c[:, None], q, out=q).min(axis=0)
+
+
 def _hrep_bbox(A, c):
     d = A.shape[1]
     lo = np.array([-_coordinate_range(A, c, k, -1.0) for k in range(d)])
@@ -803,14 +806,20 @@ def _facets(on, ids, d: int, maximal: bool = False):
 @dataclass(frozen=True)
 class _Simplex:
     """A simplicial face (a segment included), given by its d + 1
-    vertices in space.  A uniform point is the flat Dirichlet combination
-    of the vertices, with weights from d + 1 exponentials -log u."""
+    vertices in space and its d-measure.  A uniform point is the flat
+    Dirichlet combination of the vertices, with weights from d + 1
+    exponentials -log u."""
 
     vertices: np.ndarray    # (d + 1, n)
+    measure: float
 
     @property
     def slots(self) -> int:
         return len(self.vertices)
+
+    def simplices(self):
+        """(vertices (1, d + 1, n), measures (1,)): the face itself."""
+        return self.vertices[None], np.array([self.measure])
 
     def draw(self, u: np.ndarray, slot: int) -> np.ndarray:
         """One uniform point per row of u, from its columns slot on."""
@@ -828,16 +837,28 @@ class _Simplex:
 @dataclass(frozen=True)
 class _Cone:
     """A d-face that is not a simplex, as the union of the cones from its
-    vertex centroid (the apex) over its facets.  A uniform point picks
-    the cone over facet j with probability (c_j - a_j . apex) |F_j| /
-    (d vol) (column slot of u), draws y uniformly on F_j (columns slot + 2
-    on), and returns apex + U^(1/d) (y - apex), U column slot + 1."""
+    vertex centroid (the apex) over its facets F_j, at heights h_j =
+    c_j - a_j . apex > 0 in the face's chart; the cone over F_j measures
+    h_j |F_j| / d.  A uniform point picks a cone by its share of the
+    measure (column slot of u), draws y uniformly on its F_j (columns
+    slot + 2 on), and returns apex + U^(1/d) (y - apex), U column slot + 1."""
 
     dim: int
     apex: np.ndarray        # (n,)
-    cum: np.ndarray         # cumulative facet probabilities, last 1.0
-    facets: tuple           # the facets' samplers, _Simplex or _Cone
+    heights: np.ndarray     # h_j
+    facets: tuple           # the facets' nodes, _Simplex or _Cone
+    measure: float          # sum_j h_j |F_j| / d
+    cum: np.ndarray         # cumulative shares of the cones, last 1.0
     slots: int              # uniforms a draw takes
+
+    def simplices(self):
+        """(vertices (k, d + 1, n), measures (k,)) of its simplices: the
+        apex joined to each facet simplex of measure m, measuring h_j m / d."""
+        parts = [f.simplices() for f in self.facets]
+        return (np.concatenate([np.insert(v, 0, self.apex, axis=1)
+                                for v, _m in parts]),
+                np.concatenate([h * m / self.dim
+                                for h, (_v, m) in zip(self.heights, parts)]))
 
     def draw(self, u: np.ndarray, slot: int) -> np.ndarray:
         pick = np.searchsorted(self.cum, u[:, slot], side="right")
@@ -849,65 +870,49 @@ class _Cone:
         return self.apex + s[:, None] * (y - self.apex)
 
 
-def _cone(dim: int, apex: np.ndarray, weights: list, facets: list):
-    """The _Cone over the facets of positive weight (height x area), or
-    None when none has one (a vertex set of lower dimension)."""
-    keep = [(w, f) for w, f in zip(weights, facets)
-            if w > 0.0 and f is not None]
-    if not keep:
-        return None
-    cum = np.cumsum([w for w, _f in keep])
-    return _Cone(dim, apex, cum / cum[-1], tuple(f for _w, f in keep),
-                 2 + max(f.slots for _w, f in keep))
-
-
-def _simplices(sampler) -> list[np.ndarray]:
-    """Vertex arrays of the simplices a face sampler is the union of: a
-    _Simplex itself, a _Cone the joins of its apex with its facets'."""
-    if isinstance(sampler, _Simplex):
-        return [sampler.vertices]
-    return [np.vstack((sampler.apex, v)) for f in sampler.facets
-            for v in _simplices(f)]
-
-
-def _face_lattice(A, c, Y, on, ids, vertices, memo):
-    """(volume, sampler) of the bounded {y : A y <= c} with vertices Y
-    (one per row, in its chart), their incidence ``on`` and ids (as in
-    _facets).  The volume is the recursive divergence identity
-    vol = (1/d) sum_j (c_j - a_j . x0) |facet_j|, x0 the vertex centroid;
-    any x0 gives the same sum, as sum_j a_j |facet_j| = 0.  Vertices
-    spanning fewer than d dimensions measure about 0: x0 lies on each
-    constraint holding them all, and any other constraint holds a set of
-    still lower dimension.  The sampler draws the face uniformly in space
-    (``vertices[ids]`` are its vertices there): a _Simplex when it has
-    d + 1 vertices (a segment always), else the _Cone over its facets
-    with the same x0 and terms.  ``memo`` keeps each face's pair under its
-    key, so a face shared by several facets is measured once."""
+def _face_lattice(A, c, Y, on, ids, vertices, memo, maximal=False):
+    """(node, facets) of the bounded {y : A y <= c} with vertices Y (one
+    per row, in its chart), their incidence ``on`` and ids (as in _facets,
+    which gets ``maximal``); facets lists the (constraint, node) pairs the
+    node is built on.  The node draws the face uniformly in space
+    (``vertices[ids]`` are its vertices there) and carries its measure,
+    the divergence identity vol = (1/d) sum_j (c_j - a_j . x0) |facet_j|
+    over the terms > 0, x0 the vertex centroid: a _Simplex when it has
+    d + 1 vertices (a segment always), else the _Cone from x0.  It is None
+    when no term is > 0, as for vertices spanning fewer than d dimensions
+    (x0 lies on each constraint holding them all).  ``memo`` keeps each
+    face's node under its key, so a shared face is measured once."""
     d = A.shape[1]
     if d == 1:
         ends = ids[[np.argmin(Y[:, 0]), np.argmax(Y[:, 0])]]
-        return float(Y.max() - Y.min()), _Simplex(vertices[ends])
+        return _Simplex(vertices[ends], float(Y.max() - Y.min())), []
     x0 = Y.mean(axis=0)
-    weights, facets = [], []
-    for j, sel, key in _facets(on, ids, d):
+    kept = []
+    for j, sel, key in _facets(on, ids, d, maximal):
         if key not in memo:
             sub = _face_subsystem(A, c, j)
-            memo[key] = (0.0, None) if sub is None else _face_lattice(
+            memo[key] = None if sub is None else _face_lattice(
                 sub[2], sub[3], (Y[sel] - sub[1]) @ sub[0],
-                on[np.ix_(sel, sub[4])], ids[sel], vertices, memo)
-        vol, sampler = memo[key]
-        weights.append((c[j] - A[j] @ x0) * vol)
-        facets.append(sampler)
+                on[np.ix_(sel, sub[4])], ids[sel], vertices, memo)[0]
+        node, height = memo[key], c[j] - A[j] @ x0
+        if node is not None and height * node.measure > 0.0:
+            kept.append((j, height, node))
+    if not kept:
+        return None, []
+    rows, heights, nodes = zip(*kept)
+    cum = np.cumsum(np.array(heights) * [f.measure for f in nodes])
     if len(ids) == d + 1:
-        sampler = _Simplex(vertices[ids])
+        node = _Simplex(vertices[ids], float(cum[-1]) / d)
     else:
-        sampler = _cone(d, vertices[ids].mean(axis=0), weights, facets)
-    return sum(weights) / d, sampler
+        node = _Cone(d, vertices[ids].mean(axis=0), np.array(heights), nodes,
+                     float(cum[-1]) / d, cum / cum[-1],
+                     2 + max(f.slots for f in nodes))
+    return node, list(zip(rows, nodes))
 
 
 @dataclass(frozen=True)
 class _Face:
-    """A facet of a polytope: its constraint, area and exact sampler."""
+    """A facet of a polytope: its constraint, area and lattice node."""
 
     index: int
     normal: np.ndarray      # outward
@@ -930,10 +935,11 @@ class Polytope(ConvexBody):
     once, from the Chebyshev centre; a face's vertices are those within
     the vertex tolerance of its hyperplane (see _VERTEX_TOL), and a
     constraint bounds a face when no other holds a strict superset of its
-    vertices.  One recursion over the face lattice (_face_lattice) gives
-    each face its area and its exact sampler, and the body's interior
-    sampler is the cone from the vertex centroid over the faces: a simplex
-    body is one Dirichlet draw.
+    vertices.  One _face_lattice call on the body walks the face lattice
+    once; each node is a face's exact sampler and carries its measure.
+    The faces' nodes give the areas, and the interior node, the cone from
+    the vertex centroid over them (a simplex body is one Dirichlet draw),
+    the volume.  Cubature weights each node's simplices by their measures.
     """
 
     def __init__(self, half_spaces, require_bounded: bool = True):
@@ -967,16 +973,13 @@ class Polytope(ConvexBody):
             self._center = center
             self._inradius = radius
 
-    # Reduces over faces along the long axis of the transposed product
-    # (min is exact); A @ points.T would round unlike it.
     def distances_many(self, points):
         if len(points) == 1:
             # numpy multiplies a single row by gemv, which rounds unlike
             # gemm; doubling the row keeps each point's distance
             # independent of how many points share the call
-            return self.distances_many(np.vstack((points, points)))[:1]
-        q = np.ascontiguousarray((points @ self.A.T).T)
-        return np.subtract(self.c[:, None], q, out=q).min(axis=0)
+            return _slacks(self.A, self.c, np.vstack((points, points)))[:1]
+        return _slacks(self.A, self.c, points)
 
     def bounding_box(self):
         return self._bbox[0].copy(), self._bbox[1].copy()
@@ -993,7 +996,8 @@ class Polytope(ConvexBody):
 
     @cached_property
     def _lattice(self):
-        """(faces, interior sampler) from one vertex enumeration."""
+        """(faces, interior node) from one vertex enumeration and one
+        _face_lattice call on the body, whose facets are the faces."""
         if not self.require_bounded:
             raise ValueError("faces of an unbounded half-space collection "
                              "are not available")
@@ -1008,44 +1012,24 @@ class Polytope(ConvexBody):
         size = float(np.abs(vertices).max())
         tol = _VERTEX_TOL * scale + _VERTEX_ROUNDING * size
         on = np.abs(vertices @ self.A.T - self.c) <= tol
-        ids = np.arange(len(vertices))
-        memo: dict = {}
-        out = []
-        for i, sel, _key in _facets(on, ids, self.dimension, maximal=True):
-            sub = _face_subsystem(self.A, self.c, i)
-            if sub is None:
-                continue
-            Q, p, A2, c2, rows = sub
-            area, sampler = _face_lattice(A2, c2, (vertices[sel] - p) @ Q,
-                                          on[np.ix_(sel, rows)], ids[sel],
-                                          vertices, memo)
-            # a maximal vertex set spans its face, so no size threshold is
-            # needed: one drops the side faces of thin bodies the
-            # constructor accepts (a slab 2e-12 x scale thick)
-            if area <= 0.0:
-                continue
-            out.append(_Face(index=int(i), normal=self.A[i], offset=self.c[i],
-                             area=area, sampler=sampler))
-        if not out:
+        # a maximal vertex set spans its face, so no size threshold is
+        # needed: one drops the side faces of thin bodies the constructor
+        # accepts (a slab 2e-12 x scale thick)
+        interior, facets = _face_lattice(self.A, self.c, vertices, on,
+                                         np.arange(len(vertices)), vertices,
+                                         {}, maximal=True)
+        if interior is None:
             raise ValueError("polytope has no positive-area faces")
-        if len(vertices) == self.dimension + 1:
-            interior = _Simplex(vertices)
-        else:
-            apex = vertices.mean(axis=0)
-            interior = _cone(self.dimension, apex,
-                             [(f.offset - f.normal @ apex) * f.area for f in out],
-                             [f.sampler for f in out])
-        return out, interior
+        return [_Face(int(i), self.A[i], self.c[i], node.measure, node)
+                for i, node in facets], interior
 
     def volume_exact(self):
-        """Exact volume from the faces by the divergence identity
-        vol = (1/n) sum_i (c_i - a_i . x0) |face_i|; None for a half-space
-        collection that is not known to be bounded."""
+        """The interior node's measure, vol = (1/n) sum_i (c_i - a_i . x0)
+        |face_i| about the vertex centroid x0 (see _face_lattice); None for
+        a half-space collection that is not known to be bounded."""
         if not self.require_bounded:
             return None
-        x0 = self._center
-        total = sum((f.offset - f.normal @ x0) * f.area for f in self.faces)
-        return float(total / self.dimension)
+        return self._lattice[1].measure
 
     def surface_area_exact(self):
         return float(sum(f.area for f in self.faces))
@@ -1075,10 +1059,10 @@ class Polytope(ConvexBody):
 
     @cached_property
     def _triangulation(self):
-        """Vertex arrays (k, d + 1, n) of the simplices the interior
-        sampler and the face samplers are unions of."""
-        faces = [v for f in self.faces for v in _simplices(f.sampler)]
-        return np.array(_simplices(self._lattice[1])), np.array(faces)
+        """Simplices and measures of the interior node and the face nodes."""
+        faces = zip(*(f.sampler.simplices() for f in self.faces))
+        return (self._lattice[1].simplices(),
+                tuple(np.concatenate(col) for col in faces))
 
     def _cubature(self, degree):
         return _simplices_rule(self._triangulation[0], degree)

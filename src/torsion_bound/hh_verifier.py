@@ -413,11 +413,28 @@ def _anchors(fn: SubharmonicFn) -> list[np.ndarray]:
     return [fn.anchor] if isinstance(fn, ShiftedNorm) else []
 
 
+def _certify_at(values, pts: np.ndarray, tol: float, what: str,
+                where: str) -> None:
+    """Check values(pts) >= -tol, taken without numpy warnings; raises
+    CertificateError at the least value when it is < -tol, or at the
+    first that is not finite (an overflow, or a NaN, which no comparison
+    with a tolerance catches)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = values(pts)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    worst = bad[0] if bad.size else int(np.argmin(vals))
+    if bad.size or vals[worst] < -tol:
+        fault = "is not finite" if bad.size else "< 0"
+        raise CertificateError(f"{what} {vals[worst]:.3e} {fault} at {where}",
+                               pts[worst])
+
+
 def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
                         seed: int = 0) -> None:
     """Check lap f >= -tol on _CERT_PROBES interior probe points (exact for
     polynomial kinds whose symbolic Laplacian is constant-sign); raises
-    CertificateError with a witness on failure.
+    CertificateError with a witness on failure, a non-finite value
+    included.
 
     The probes are keyed by (seed, probe index) only, and drawn once for
     the most recent body and seed."""
@@ -425,27 +442,17 @@ def certify_subharmonic(body: cg.ConvexBody, fn: SubharmonicFn,
         if cg.contains(body, anchor):
             raise CertificateError("shifted-norm anchor lies inside the body",
                                    anchor)
-    pts = _cert_probes(body, seed)[0]
-    lap = fn.laplacian(pts)
-    worst = int(np.argmin(lap))
-    if lap[worst] < -LAPLACIAN_TOL:
-        raise CertificateError(
-            f"laplacian {lap[worst]:.3e} < 0 at an interior probe",
-            pts[worst])
+    _certify_at(fn.laplacian, _cert_probes(body, seed)[0], LAPLACIAN_TOL,
+                "laplacian", "an interior probe")
 
 
 def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
                                  seed: int = 0) -> None:
     """Check f >= -tol on sampled boundary points; raises CertificateError
-    with a witness on failure.  The probes are shared as in
-    certify_subharmonic."""
-    pos = _cert_probes(body, seed)[1]
-    vals = fn.value(pos)
-    worst = int(np.argmin(vals))
-    if vals[worst] < -BOUNDARY_TOL:
-        raise CertificateError(
-            f"boundary value {vals[worst]:.3e} < 0 at a sampled point",
-            pos[worst])
+    with a witness on failure, a non-finite value included.  The probes
+    are shared as in certify_subharmonic."""
+    _certify_at(fn.value, _cert_probes(body, seed)[1], BOUNDARY_TOL,
+                "boundary value", "a sampled point")
 
 
 # ---------------------------------------------------------------------------

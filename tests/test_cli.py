@@ -305,6 +305,50 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err == "error: shifted-norm anchor lies inside the body\n"
 
+    def test_non_finite_fn_values_exit_2_with_one_line(self, tmp_path,
+                                                       capsys):
+        # finite coefficients whose Laplacian (2e308 - 2e308) is NaN: the
+        # certificate passed it, and the run ended on numpy warnings and a
+        # JSON error about inf
+        fn_path = tmp_path / "fn.json"
+        fn_path.write_text(json.dumps({
+            "kind": "harmonic_polynomial", "terms": [
+                {"powers": [2, 0], "coeff": 1e308},
+                {"powers": [0, 2], "coeff": -1e308},
+                {"powers": [0, 0], "coeff": 1e308}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify-hh", "--body", "unit-ball-n2", "--fn",
+                        str(fn_path), "--boundary-samples", "8"] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: laplacian nan is not finite at an interior probe")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gradient"],
+        ["gradient", "--body", "unit-ball-n2", "--samples", "abc"],
+        ["verify-hh", "--preset", "no-such-pair"],
+        [],
+    ], ids=["missing-body", "bad-int", "bad-choice", "no-command"])
+    def test_bad_command_line_exits_2_with_one_line(self, capsys, argv):
+        # argparse printed its usage block before the error
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["gradient", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: torsion-bound gradient")
+
     def test_bad_json_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

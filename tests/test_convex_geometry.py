@@ -71,6 +71,22 @@ class TestDistance:
         with pytest.raises(ValueError):
             cg.distance_to_boundary(cg.Ball([0, 0], 1.0), [2.0, 0.0])
 
+    def test_one_polytope_point_is_one_row(self, monkeypatch):
+        # a single point is doubled for gemm below distances_many, so a
+        # wrapper of the class attribute (the benchmark tracer is one)
+        # counts the caller's one row, in one call
+        body = presets.simplex(3)
+        rows = []
+        inner = cg.Polytope.distances_many
+
+        def counted(self, points):
+            rows.append(len(points))
+            return inner(self, points)
+        monkeypatch.setattr(cg.Polytope, "distances_many", counted)
+        d = cg.distance_to_boundary(body, [0.1, 0.2, 0.3])
+        assert rows == [1]
+        assert d == body.distances_many(np.array([[0.1, 0.2, 0.3]] * 3))[0]
+
     def test_ellipsoid_lower_bound_and_refinement(self):
         e = cg.Ellipsoid([0.0, 0.0], [2.0, math.sqrt(2.0)])
         # exact at the center
@@ -1007,23 +1023,33 @@ class TestExactSamplers:
     @pytest.mark.parametrize("name", ["simplex-n2", "simplex-n3", "simplex-n4",
                                       "random-polytope-n3"])
     def test_lattice_volume_and_face_areas(self, name):
-        # the interior cone's terms, taken about the vertex centroid, sum
-        # to the volume about the Chebyshev centre; simplex faces have the
-        # Gram-determinant area
+        # the volume is the interior node's measure, taken about the
+        # vertex centroid; the faces' terms about the Chebyshev centre sum
+        # to the same, and so does qhull's hull.  Simplex faces have the
+        # oracle's area
         body = presets.body_preset(name)
         n = body.dimension
         vertices = hull(body).points
-        apex = vertices.mean(axis=0)
-        lattice = sum((f.offset - f.normal @ apex) * f.area for f in body.faces) / n
-        assert lattice == pytest.approx(body.volume_exact(), rel=1e-13)
+        x0 = body.interior_point()
+        centre = sum((f.offset - f.normal @ x0) * f.area for f in body.faces) / n
+        interior = body._lattice[1]
+        assert body.volume_exact() == interior.measure
+        assert body.volume_exact() == pytest.approx(centre, rel=1e-13)
+        assert body.volume_exact() == pytest.approx(hull(body).volume,
+                                                    rel=1e-12)
         if name.startswith("simplex"):
-            assert isinstance(body._lattice[1], cg._Simplex)
+            assert isinstance(interior, cg._Simplex)
             assert body.volume_exact() == pytest.approx(1.0 / math.factorial(n),
                                                         rel=1e-13)
             for face in body.faces:
                 area = oracles.simplex_moments(on_face(vertices, face))[0]
                 assert face.area == pytest.approx(area, rel=1e-13)
         else:
+            # the body's one lattice call built the faces' nodes, and the
+            # interior cone over them
+            assert all(node is f.sampler
+                       for node, f in zip(interior.facets, body.faces))
+            assert len(interior.facets) == len(body.faces)
             assert [f.area for f in body.faces] == pytest.approx(
                 RANDOM_POLYTOPE_N3_AREAS, rel=1e-13)
 
@@ -1360,10 +1386,20 @@ class TestCubature:
         assert w @ nodes == pytest.approx(first, rel=1e-13)
         assert (nodes.T * w) @ nodes == pytest.approx(second, rel=1e-13)
 
+    def test_sliver_square_monomials(self):
+        # the cut triangle weighs 5e-19, below the tolerance; the Gram
+        # determinant of a sliver lost half the digits (x^2 off by 1.3e-9)
+        body = square_with_cut_corner(1e-9)
+        assert_integrates_monomials(cg.cubature(body, MAX), MAX,
+                                    lambda p: 1.0 / ((p[0] + 1) * (p[1] + 1)))
+
     @pytest.mark.parametrize("body", [
         presets.unit_ball(3), presets.unit_box(2), presets.simplex(3),
-        presets.beck_ellipsoid(4), presets.body_preset("random-polytope-n3")],
-        ids=["ball", "box", "simplex", "ellipsoid", "random-polytope"])
+        presets.beck_ellipsoid(4), presets.body_preset("random-polytope-n3"),
+        square_with_cut_corner(1e-9), square_with_cut_corner(1e-6),
+        presets.random_polytope(2, 6, 4)],
+        ids=["ball", "box", "simplex", "ellipsoid", "random-polytope",
+             "cut-square-1e-9", "cut-square-1e-6", "random-polytope-2-6-4"])
     def test_measures_and_read_only_nodes(self, body):
         nodes, w = cg.cubature(body, 3)
         assert w.sum() == pytest.approx(body.volume_exact(), rel=1e-13)

@@ -231,6 +231,24 @@ class TestCertificates:
             hh.certify_subharmonic(cg.Ball([0.0, 0.0], 1.0), fn)
         assert np.array_equal(err.value.witness, [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms", [
+        # NaN everywhere, and so its Laplacian
+        {(2, 0): math.nan},
+        # finite terms whose Laplacian 2e308 - 2e308 is NaN and whose
+        # boundary values overflow
+        {(2, 0): 1e308, (0, 2): -1e308, (0, 0): 1e308},
+    ], ids=["nan", "overflow"])
+    def test_non_finite_values_rejected_with_witness(self, terms):
+        # NaN compares false to every tolerance: both once passed
+        body = cg.Ball([0.0, 0.0], 1.0)
+        fn = hh.HarmonicPolynomial(terms, 2)
+        for certify in (hh.certify_subharmonic,
+                        hh.certify_boundary_nonnegative):
+            with pytest.raises(hh.CertificateError, match="is not finite") as err:
+                certify(body, fn)
+            assert cg.contains(body, err.value.witness)
+
     def test_sign_changing_inside_accepted(self):
         # negative deep inside, nonnegative on the boundary: admissible
         body = cg.Ball([0.0, 0.0], 1.0)
