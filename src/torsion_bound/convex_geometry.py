@@ -27,7 +27,9 @@ boundary too.
 Balls, ellipsoids, boxes and polytopes have cubature rules (``cubature``)
 that integrate every polynomial up to CUBATURE_MAX_DEGREE exactly over
 the body, and all but ellipsoids over the boundary too
-(``boundary_cubature``).
+(``boundary_cubature``).  An ellipsoid's boundary has a quadrature for
+smooth functions instead (``boundary_quadrature``).  No rule has more
+than CUBATURE_MAX_NODES nodes: a larger one is not built.
 
 JSON schema (round-trips losslessly):
 
@@ -80,6 +82,12 @@ _VERTEX_ROUNDING = 64 * np.finfo(float).eps
 # Highest total degree of the cubature rules; each is tested on every
 # monomial up to it, and above it the callers sample.
 CUBATURE_MAX_DEGREE = 8
+# Most nodes a rule may have: a size limit, not an accuracy one.  A rule
+# that would have more is not built (``cubature``, ``boundary_cubature``
+# and ``boundary_quadrature`` return None) and the callers sample.  The
+# largest rule the tests build, random_polytope(4, 40, 1)'s degree-8 solid
+# rule, has 211k nodes; random_polytope(5, 50, 1)'s has 11.5M (461 MB).
+CUBATURE_MAX_NODES = 2 ** 20
 # operation tags for stream derivation
 _OP_VOLUME = 102
 _OP_AREA = 103
@@ -241,6 +249,12 @@ class ConvexBody:
         """The same over the boundary, or None (ellipsoids, intersections)."""
         return None
 
+    def _boundary_quadrature(self, degree: int):
+        """(nodes, weights) whose weighted sum converges to the integral of
+        a smooth f over the boundary as degree grows, or None: the exact
+        rule where the body has one."""
+        return self._boundary_cubature(degree)
+
     # -- serialization ---------------------------------------------------
 
     def shape_json(self) -> dict:
@@ -318,6 +332,17 @@ def _unit_ball_points(key: int, ids: np.ndarray, n: int) -> np.ndarray:
 # one-dimensional factor (exact to degree 2 (degree // 2) + 1).
 
 
+class _RuleTooLarge(Exception):
+    """A rule would have more than CUBATURE_MAX_NODES nodes; ``_rule``
+    turns it into None."""
+
+
+def _check_size(nodes: int) -> None:
+    """Raise _RuleTooLarge before a rule of ``nodes`` nodes is built."""
+    if nodes > CUBATURE_MAX_NODES:
+        raise _RuleTooLarge
+
+
 @lru_cache(maxsize=None)
 def _interval_rule(degree: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
@@ -327,6 +352,7 @@ def _interval_rule(degree: int):
 
 def _tensor_rule(lower: np.ndarray, upper: np.ndarray, degree: int):
     """Tensor Gauss-Legendre rule on the box [lower, upper]."""
+    _check_size((degree // 2 + 1) ** len(lower))
     x, w = _interval_rule(degree)
     ext = upper - lower
     grids = np.meshgrid(*[lo + e * x for lo, e in zip(lower, ext)],
@@ -345,6 +371,7 @@ def _sphere_rule(n: int, degree: int):
     d(sigma_(n-2)), so a Gauss-Jacobi rule in t times the rule on S^(n-2).
     A monomial odd in y integrates to 0 on the inner rule; the others are
     polynomials in t of degree <= degree."""
+    _check_size((degree + 1) * (degree // 2 + 1) ** (n - 2))
     if n == 2:
         theta = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
         return (np.column_stack((np.cos(theta), np.sin(theta))),
@@ -363,6 +390,7 @@ def _ball_rule(n: int, degree: int):
     """Nodes and weights on the unit ball: radius r = (1 + s)/2 from a
     Gauss-Jacobi rule in s with weight (1 + s)^(n-1), so r^(n-1) dr, times
     the sphere rule."""
+    _check_size((degree + 1) * (degree // 2 + 1) ** (n - 1))
     s, ws = roots_jacobi(degree // 2 + 1, 0.0, n - 1.0)
     y, wy = _sphere_rule(n, degree)
     nodes = (0.5 * (1.0 + s)[:, None, None] * y).reshape(-1, n)
@@ -391,6 +419,14 @@ def _simplex_rule(d: int, degree: int):
             bary.append((2 * beta + 1) / (top + d - 2 * i))
             weights.append(w)
     return np.array(bary), np.array(weights)
+
+
+def _check_simplices(nodes, d: int, degree: int) -> None:
+    """Raise _RuleTooLarge when the simplex rule on the d-simplices of the
+    lattice ``nodes`` would be too large, counting them before any is
+    listed."""
+    _check_size(sum(node.simplex_count for node in nodes)
+                * len(_simplex_rule(d, degree)[1]))
 
 
 def _simplices_rule(simplices, degree: int):
@@ -483,7 +519,16 @@ class Ellipsoid(ConvexBody):
     search of an Intersection assumes.
     That form cancels near the boundary, where walks take most of their
     steps; the rationalized one keeps full precision there.  Points with
-    q >= 1 get b_min (1 - sqrt(q)) <= 0.
+    q >= 1 get b_min (1 - sqrt(q)) <= 0, and -b_min (1 - sqrt(q)) is a
+    lower bound on their distance: such a point lies on the boundary of
+    sqrt(q) E, while for r < sqrt(q) - 1 every point within r b_min of E
+    lies in (1 + r) E, inside sqrt(q) E.
+
+    The solid has exact cubature (the unit ball's rule scaled by b).  The
+    boundary has none, as the surface Jacobian prod(b) |theta / b| of
+    x = c + b theta is not a polynomial on the sphere; its quadrature
+    (``boundary_quadrature``) is the sphere rule weighted by that
+    Jacobian, the same weight the boundary sampler gives its points.
     """
 
     def __init__(self, center, semi_axes):
@@ -580,12 +625,16 @@ class Ellipsoid(ConvexBody):
                     key, ids, self.dimension),
                 np.ones(len(ids), dtype=bool))
 
+    def _jacobian(self, z):
+        """Surface Jacobian of the map z -> c + b z from the unit sphere,
+        prod(b) |z / b|, at the rows of z."""
+        return (float(np.prod(self.semi_axes))
+                * np.linalg.norm(z / self.semi_axes, axis=1))
+
     def _boundary_batch(self, key, ids):
         z = rng.unit_vectors(key, ids, 0, self.dimension)
         pos = self.center + self.semi_axes * z
-        # surface Jacobian of the sphere -> ellipsoid axis scaling
-        jac = float(np.prod(self.semi_axes)) * np.linalg.norm(z / self.semi_axes, axis=1)
-        wgt = unit_sphere_area(self.dimension) * jac
+        wgt = unit_sphere_area(self.dimension) * self._jacobian(z)
         grad = (pos - self.center) / self.semi_axes**2
         nrm = -grad / np.linalg.norm(grad, axis=1)[:, None]
         return pos, nrm, wgt, np.ones(len(ids), dtype=bool)
@@ -596,6 +645,10 @@ class Ellipsoid(ConvexBody):
         y, w = _ball_rule(self.dimension, degree)
         return (self.center + self.semi_axes * y,
                 w * float(np.prod(self.semi_axes)))
+
+    def _boundary_quadrature(self, degree):
+        y, w = _sphere_rule(self.dimension, degree)
+        return self.center + self.semi_axes * y, w * self._jacobian(y)
 
     def shape_json(self):
         return {"type": "ellipsoid", "center": self.center.tolist(),
@@ -680,6 +733,8 @@ class Box(ConvexBody):
         return _tensor_rule(self.lower, self.upper, degree)
 
     def _boundary_cubature(self, degree):
+        _check_size(2 * self.dimension
+                    * (degree // 2 + 1) ** (self.dimension - 1))
         nodes, weights = [], []
         for k, side, _area, _normal in self._face_table:
             other = [j for j in range(self.dimension) if j != k]
@@ -812,6 +867,7 @@ class _Simplex:
 
     vertices: np.ndarray    # (d + 1, n)
     measure: float
+    simplex_count = 1       # simplices in simplices()
 
     @property
     def slots(self) -> int:
@@ -850,6 +906,7 @@ class _Cone:
     measure: float          # sum_j h_j |F_j| / d
     cum: np.ndarray         # cumulative shares of the cones, last 1.0
     slots: int              # uniforms a draw takes
+    simplex_count: int      # simplices in simplices()
 
     def simplices(self):
         """(vertices (k, d + 1, n), measures (k,)) of its simplices: the
@@ -906,7 +963,8 @@ def _face_lattice(A, c, Y, on, ids, vertices, memo, maximal=False):
     else:
         node = _Cone(d, vertices[ids].mean(axis=0), np.array(heights), nodes,
                      float(cum[-1]) / d, cum / cum[-1],
-                     2 + max(f.slots for f in nodes))
+                     2 + max(f.slots for f in nodes),
+                     sum(f.simplex_count for f in nodes))
     return node, list(zip(rows, nodes))
 
 
@@ -1065,9 +1123,12 @@ class Polytope(ConvexBody):
                 tuple(np.concatenate(col) for col in faces))
 
     def _cubature(self, degree):
+        _check_simplices([self._lattice[1]], self.dimension, degree)
         return _simplices_rule(self._triangulation[0], degree)
 
     def _boundary_cubature(self, degree):
+        _check_simplices([f.sampler for f in self.faces], self.dimension - 1,
+                         degree)
         return _simplices_rule(self._triangulation[1], degree)
 
     def shape_json(self):
@@ -1414,7 +1475,10 @@ def surface_area(body: ConvexBody, cfg: WosConfig) -> Estimate:
 def _rule(rule, degree: int):
     if not 0 <= degree <= CUBATURE_MAX_DEGREE:
         return None
-    out = rule(degree)
+    try:
+        out = rule(degree)
+    except _RuleTooLarge:
+        return None
     if out is not None:
         for a in out:
             a.flags.writeable = False
@@ -1427,7 +1491,8 @@ def cubature(body: ConvexBody, degree: int):
     None.  Balls and ellipsoids take a radial Gauss-Jacobi rule times a
     spherical product rule, boxes tensor Gauss-Legendre, polytopes a
     Grundmann-Moeller rule on each simplex of their face lattice.
-    Intersections and degrees outside 0..CUBATURE_MAX_DEGREE get None."""
+    Intersections, degrees outside 0..CUBATURE_MAX_DEGREE and rules of
+    more than CUBATURE_MAX_NODES nodes get None."""
     return _rule(body._cubature, degree)
 
 
@@ -1437,6 +1502,19 @@ def boundary_cubature(body: ConvexBody, degree: int):
     the simplices of each polytope face.  Ellipsoids and intersections get
     None."""
     return _rule(body._boundary_cubature, degree)
+
+
+def boundary_quadrature(body: ConvexBody, degree: int):
+    """(nodes, weights), read-only, for the integral of a smooth f over
+    the boundary, or None: boundary_cubature's rule where the body has
+    one.  An ellipsoid's is the sphere rule of ``degree`` mapped by
+    x = c + b theta and weighted by that map's surface Jacobian
+    prod(b) |theta / b|.  It is exact only where f times that Jacobian
+    is a polynomial of degree <= ``degree`` on the sphere, and converges
+    fast for f analytic near the boundary; its weights sum to the area
+    only to its accuracy, so a caller divides by their sum and multiplies
+    by ``surface_area_exact``.  Intersections get None."""
+    return _rule(body._boundary_quadrature, degree)
 
 
 def interior_points(body: ConvexBody, count: int, key: int) -> np.ndarray:

@@ -41,8 +41,13 @@ class WosConfig:
 class Estimate:
     """A statistical result: mean, stderr = sample sd / sqrt(samples).
 
-    stderr == 0 flags an exact (closed-form) value.  truncated_fraction
-    counts walks that hit the step cap; it is carried, never dropped.
+    stderr == 0 flags an exact (closed-form) value.  A quadrature value
+    (an hh_verifier.Integral of method "quadrature") holds no sample sd:
+    its stderr is the difference between the rules of degrees 8 and 6,
+    an estimate of the degree-8 rule's error that over-reads it for the
+    functions taken that way, and samples counts that rule's nodes.
+    truncated_fraction counts walks that hit the step cap; it is carried,
+    never dropped.
     """
 
     mean: float

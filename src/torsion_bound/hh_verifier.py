@@ -11,34 +11,41 @@ verify_theorem1 checks   int_Omega f  <=  (sqrt(2)/pi) vol^{1/n} int_dOmega f
 and hh_via_torsion checks the sharper intermediate inequality with the
 sampled maximum of the torsion function's inward normal derivative.
 
-Exact integrals.  A polynomial f (affine, quadratic, harmonic polynomial,
-or a positive combination of these) reports its total degree.  Up to
-cg.CUBATURE_MAX_DEGREE its solid integral over a ball, ellipsoid, box or
-polytope, and its boundary integral over a ball, box or polytope, is a
-cubature rule's weighted sum (cg.cubature, cg.boundary_cubature); the
-Estimate then has stderr 0, which marks it exact.  Everything else is
-sampled: shifted norms and combinations holding one, higher degrees,
-ellipsoid boundaries (where a constant f is exact to rounding, as the
-area is) and intersections (the half-balls among them).
+Exact integrals and quadratures.  A polynomial f (affine, quadratic,
+harmonic polynomial, or a positive combination of these) reports its
+total degree.  Up to cg.CUBATURE_MAX_DEGREE its solid integral over a
+ball, ellipsoid, box or polytope, and its boundary integral over a ball,
+box or polytope, is a cubature rule's weighted sum (cg.cubature,
+cg.boundary_cubature); the Integral then has stderr 0, which marks it
+exact.  A function analytic on the closed body (such a polynomial, a
+shifted norm anchored at least one diameter outside, or a positive
+combination of these) is otherwise integrated by the rules of degrees 8
+and 6 where the body has them, ellipsoid boundaries included
+(cg.boundary_quadrature): the value is the degree-8 one and the stderr
+the quadrature error |Q_8 - Q_6|.  Everything else is sampled: nearer
+anchors, higher degrees, rules larger than cg.CUBATURE_MAX_NODES and
+intersections (the half-balls among them).  Each report names the
+method of each side.  An integral that is not finite (an overflow of the
+float range) raises ValueError.
 
 Shared draws.  Every sample the checks use depends on the body and the
 seed, never on f, and is drawn on first use: the 512 interior and 512
 boundary certificate probes (keyed by (seed, _TAG_CERT, 1 or 2)), and for
 a sampled integral the cfg.samples uniform interior points (seed,
 _TAG_VOLUME_INT) or the cfg.samples weighted boundary points (seed,
-_TAG_BOUNDARY_INT), with the volume and surface area.  An exact pair
-draws only the probes.  Interior points are exact draws, one candidate
-per point, except on intersections, which reject from their bounding box.
-The volume and area are closed forms except on an intersection other
-than a ball cut by one half-space, where they are Monte Carlo estimates
-on (cfg.seed, cfg.samples).  The probes of the most recent (body
-identity, seed), and the draws made so far for the most recent (body
-identity, cfg.seed, cfg.samples), stay in memory, read-only, until a
-call with another key replaces them; so checking several functions on
-one body draws each sample once and gives the same numbers, bit for bit,
-as drawing afresh for each.  The samples, normals excluded, take up to
-(2n + 1) cfg.samples floats.  A test function must not write into the
-points it is given.
+_TAG_BOUNDARY_INT), with the volume and surface area.  A pair with no
+sampled side draws only the probes.  Interior points are exact draws,
+one candidate per point, except on intersections, which reject from
+their bounding box.  The volume and area are closed forms except on an
+intersection other than a ball cut by one half-space, where they are
+Monte Carlo estimates on (cfg.seed, cfg.samples).  The probes of the
+most recent (body identity, seed), and the draws made so far for the
+most recent (body identity, cfg.seed, cfg.samples), stay in memory,
+read-only, until a call with another key replaces them; so checking
+several functions on one body draws each sample once and gives the same
+numbers, bit for bit, as drawing afresh for each.  The samples, normals
+excluded, take up to (2n + 1) cfg.samples floats.  A test function must
+not write into the points it is given.
 
 JSON schema for functions (fn_from_json raises ValueError on anything
 else):
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -459,45 +466,94 @@ def certify_boundary_nonnegative(body: cg.ConvexBody, fn: SubharmonicFn,
 # integrals
 
 
-def _exact_rule(rule, body: cg.ConvexBody, fn: SubharmonicFn):
-    """The body's cubature of fn's degree (``rule`` is cg.cubature or
-    cg.boundary_cubature) when fn is a polynomial; None otherwise."""
-    return None if fn.degree is None else rule(body, fn.degree)
+@dataclass(frozen=True)
+class Integral(Estimate):
+    """An integral of f with the method that took it: "exact" (a rule
+    exact for f; stderr 0), "quadrature" (the degree-8 rule's value;
+    stderr its quadrature error |Q_8 - Q_6|, see _quadrature) or
+    "sampled" (a Monte Carlo mean; stderr its standard error)."""
+
+    method: str = field(kw_only=True)
 
 
-def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
-                    cfg: WosConfig) -> Estimate:
-    """The integral of f over the body.
+def _analytic(body: cg.ConvexBody, fn: SubharmonicFn) -> bool:
+    """True when f is analytic on a neighbourhood of the closed body that
+    the rules converge on fast: a polynomial of degree at most
+    cg.CUBATURE_MAX_DEGREE, a shifted norm whose anchor is at least one
+    diameter outside, or a positive combination of these.  The anchor's
+    distance is read as -distances_many, a lower bound on it outside the
+    body in every family.  Nearer anchors slow the rules (the difference
+    of two rules under-read the error of the finer one at 0.01 diameter),
+    so they are sampled."""
+    if isinstance(fn, PositiveCombination):
+        return all(_analytic(body, part) for _w, part in fn.parts)
+    if isinstance(fn, ShiftedNorm):
+        depth = body.distances_many(fn.anchor[None, :])[0]
+        return -float(depth) >= body.diameter
+    return fn.degree is not None and fn.degree <= cg.CUBATURE_MAX_DEGREE
 
-    Exact, with stderr 0, when f is a polynomial (``fn.degree`` is not
-    None) of degree at most cg.CUBATURE_MAX_DEGREE on a ball, ellipsoid,
-    box or polytope: the weighted sum of f at the nodes of cg.cubature.
-    Otherwise the mean of f over uniform interior samples times the body
-    volume; both are drawn, on first use, for (body, cfg.seed,
-    cfg.samples)."""
-    rule = _exact_rule(cg.cubature, body, fn)
+
+def _quadrature(rule, body: cg.ConvexBody, fn: SubharmonicFn,
+                measure: float) -> Integral | None:
+    """Q_8 with stderr |Q_8 - Q_6|, or None when the body lacks either
+    rule.  Q_K = measure x sum_i w_i f(x_i) / sum_i w_i over the nodes of
+    ``rule(body, K)`` (cg.cubature or cg.boundary_quadrature), so f = 1
+    gives the measure exactly at both degrees."""
+    degrees = (cg.CUBATURE_MAX_DEGREE, cg.CUBATURE_MAX_DEGREE - 2)
+    rules = [rule(body, degree) for degree in degrees]
+    if any(r is None for r in rules):
+        return None
+    q8, q6 = (measure * float(np.sum(w * fn.value(x)) / np.sum(w))
+              for x, w in rules)
+    return Integral(q8, abs(q8 - q6), len(rules[0][1]), method="quadrature")
+
+
+def _first_method(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
+                  boundary: bool) -> Integral:
+    """The integral over the boundary or the body by the first method
+    that applies: exact, quadrature, sampled."""
+    exact, quadrature, measure = (
+        (cg.boundary_cubature, cg.boundary_quadrature, body.surface_area_exact)
+        if boundary else (cg.cubature, cg.cubature, body.volume_exact))
+    rule = None if fn.degree is None else exact(body, fn.degree)
     if rule is not None:
-        return Estimate.exact(rule[1] @ fn.value(rule[0]))
+        return Integral(float(rule[1] @ fn.value(rule[0])), 0.0, 0,
+                        method="exact")
+    if _analytic(body, fn):
+        est = _quadrature(quadrature, body, fn, measure())
+        if est is not None:
+            return est
+    est = (_sampled_boundary if boundary else _sampled_solid)(body, fn, cfg)
+    return Integral(est.mean, est.stderr, est.samples, est.truncated_fraction,
+                    method="sampled")
+
+
+def _integral(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
+              boundary: bool) -> Integral:
+    """_first_method taken without numpy warnings; ValueError naming the
+    overflow when the value or its stderr is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            est = _first_method(body, fn, cfg, boundary)
+        except OverflowError:  # a Python float squared in product_estimate
+            est = None
+    if est is None or not (math.isfinite(est.mean)
+                           and math.isfinite(est.stderr)):
+        side = "boundary" if boundary else "solid"
+        raise ValueError(f"the {side} integral of f overflows the float "
+                         "range")
+    return est
+
+
+def _sampled_solid(body: cg.ConvexBody, fn: SubharmonicFn,
+                   cfg: WosConfig) -> Estimate:
     s = _sample_set(body, cfg.seed, cfg.samples)
     return product_estimate(Estimate.from_values(fn.value(s.interior)),
                             s.volume)
 
 
-def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
+def _sampled_boundary(body: cg.ConvexBody, fn: SubharmonicFn,
                       cfg: WosConfig) -> Estimate:
-    """The integral of f over the boundary.
-
-    Exact, with stderr 0, as in volume_integral, on balls, boxes and
-    polytopes (cg.boundary_cubature); an ellipsoid's boundary has no rule.
-    Otherwise the importance-weighted mean of f over boundary samples
-    times the surface area; the stderr includes the weight variance (delta
-    method on the self-normalized ratio) and the area's, which is 0 but
-    on intersections other than half-balls.  A constant f then has
-    stderr 0 up to rounding (0 for f = 1).  Samples, weights and area are
-    drawn, on first use, for (body, cfg.seed, cfg.samples)."""
-    rule = _exact_rule(cg.boundary_cubature, body, fn)
-    if rule is not None:
-        return Estimate.exact(rule[1] @ fn.value(rule[0]))
     s = _sample_set(body, cfg.seed, cfg.samples)
     pos, wgt = s.boundary
     vals = fn.value(pos)
@@ -509,12 +565,50 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     return product_estimate(Estimate(mean, se_mean, m), s.area)
 
 
+def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
+                    cfg: WosConfig) -> Integral:
+    """The integral of f over the body, by the first method that applies:
+
+    - exact, with stderr 0, when f is a polynomial (``fn.degree`` is not
+      None) of degree at most cg.CUBATURE_MAX_DEGREE on a ball, ellipsoid,
+      box or polytope: the weighted sum of f at the nodes of cg.cubature;
+    - quadrature when f is analytic on the body (see _analytic: a far
+      shifted norm, or a positive combination holding one): Q_8 from the
+      cubature rules of degrees 8 and 6, with stderr |Q_8 - Q_6|;
+    - sampled otherwise (intersections, near anchors, higher degrees):
+      the mean of f over uniform interior samples times the body volume,
+      both drawn, on first use, for (body, cfg.seed, cfg.samples).
+
+    A rule larger than cg.CUBATURE_MAX_NODES is not built, and its
+    integral is sampled.  ValueError when the value is not finite (an
+    overflow of the float range)."""
+    return _integral(body, fn, cfg, boundary=False)
+
+
+def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
+                      cfg: WosConfig) -> Integral:
+    """The integral of f over the boundary, as volume_integral:
+
+    - exact on balls, boxes and polytopes (cg.boundary_cubature);
+    - quadrature for analytic f on those and on ellipsoids, whose
+      boundary has no exact rule (cg.boundary_quadrature, normalized by
+      the closed-form area, so a constant f is exact with stderr 0);
+    - sampled otherwise: the importance-weighted mean of f over boundary
+      samples times the surface area.  The stderr includes the weight
+      variance (delta method on the self-normalized ratio) and the
+      area's, which is 0 but on intersections other than half-balls.  A
+      constant f then has stderr 0 up to rounding (0 for f = 1).
+      Samples, weights and area are drawn, on first use, for (body,
+      cfg.seed, cfg.samples)."""
+    return _integral(body, fn, cfg, boundary=True)
+
+
 # ---------------------------------------------------------------------------
 # the two verification operations
 
 
 def _certified_integrals(body: cg.ConvexBody, fn: SubharmonicFn,
-                         cfg: WosConfig) -> tuple[Estimate, Estimate]:
+                         cfg: WosConfig) -> tuple[Integral, Integral]:
     """(solid, boundary) integrals of f once both certificates pass.  The
     boundary integral is taken first, so a sampled f draws the boundary
     sample, the largest transient, before the solid one."""
@@ -522,6 +616,14 @@ def _certified_integrals(body: cg.ConvexBody, fn: SubharmonicFn,
     certify_boundary_nonnegative(body, fn, seed=cfg.seed)
     rhs = boundary_integral(body, fn, cfg)
     return volume_integral(body, fn, cfg), rhs
+
+
+def _finite_bound(bound: float, bound_se: float) -> None:
+    """ValueError naming the overflow when the bound or its stderr, products
+    of finite integrals, left the float range."""
+    if not (math.isfinite(bound) and math.isfinite(bound_se)):
+        raise ValueError("the bound on the solid integral overflows the "
+                         "float range")
 
 
 def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
@@ -532,16 +634,19 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     stderr ratio * hypot(rel. stderr of lhs, rel. stderr of the bound);
     both are None when the boundary integral is 0.
 
-    A stderr of 0 marks an exact side: a polynomial f's solid integral on
-    a ball, ellipsoid, box or polytope, and its bound on a ball, box or
-    polytope (see volume_integral and boundary_integral).  On an ellipsoid
-    the bound of a non-constant f stays sampled, as its boundary has no
-    rule (its area is a closed form); half-balls and shifted norms are
-    sampled on both sides, with the half-ball's volume and area exact.
+    Each side is exact, quadrature or sampled (see volume_integral and
+    boundary_integral), and the details name which under ``integrals``
+    ({"solid": ..., "boundary": ...}).  A polynomial f is exact on both
+    sides of a ball, box or polytope and on an ellipsoid's solid; its
+    bound on an ellipsoid is a quadrature (exact for a constant f, as the
+    area is a closed form).  A far shifted norm is a quadrature on every
+    side of those bodies, its stderr the quadrature error, so the 4-sigma
+    pass rule and ratio_stderr stay conservative.  Half-balls are sampled
+    on both sides, with their volume and area exact.
 
     Each draw is made on first use and kept for later calls with the same
-    body, seed and sample count (see the module docstring): a pair exact
-    on both sides draws only the certificate probes, and several
+    body, seed and sample count (see the module docstring): a pair with
+    no sampled side draws only the certificate probes, and several
     functions on one body share every sample."""
     lhs, rhs = _certified_integrals(body, fn, cfg)
     n = body.dimension
@@ -552,6 +657,7 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
         GRADIENT_CONSTANT * root * rhs.stderr,
         GRADIENT_CONSTANT * rhs.mean * root * vol.stderr / (n * vol.mean)
         if vol.stderr else 0.0)
+    _finite_bound(bound, bound_se)
     ratio = ratio_se = None  # undefined when the boundary integral is 0
     if rhs.mean != 0:
         ratio = lhs.mean / (root * rhs.mean)
@@ -565,7 +671,8 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
         details={"ratio": ratio, "boundary_integral": rhs.mean,
                  "volume_root": root, "fn": fn.to_json(),
                  "ratio_stderr": ratio_se,
-                 "boundary_integral_stderr": rhs.stderr})
+                 "boundary_integral_stderr": rhs.stderr,
+                 "integrals": {"solid": lhs.method, "boundary": rhs.method}})
 
 
 def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
@@ -573,13 +680,15 @@ def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
     """Check the sharper intermediate inequality
     int_Omega f <= (max du/dnu) int_dOmega f with the sampled gradient
     maximum; numerically implies the theorem whenever the gradient bound
-    also holds.  Certificates and integrals draw as in verify_theorem1,
-    and share its draws."""
+    also holds.  Certificates and integrals are taken as in
+    verify_theorem1, share its draws, and are named in the details the
+    same way."""
     lhs, rhs = _certified_integrals(body, fn, cfg)
     grad = wos.max_normal_derivative(body, cfg, boundary_samples)
     bound = grad.estimate.mean * rhs.mean
     bound_se = math.hypot(grad.estimate.stderr * rhs.mean,
                           grad.estimate.mean * rhs.stderr)
+    _finite_bound(bound, bound_se)
     return make_report(
         "hh_via_torsion_gradient", lhs, bound,
         provenance="solid integral <= (max inward normal derivative of the "
@@ -587,4 +696,5 @@ def hh_via_torsion(body: cg.ConvexBody, fn: SubharmonicFn, cfg: WosConfig,
         bound_stderr=bound_se,
         details={"max_gradient": grad.estimate.mean,
                  "max_location": grad.location.tolist(),
-                 "boundary_integral": rhs.mean, "fn": fn.to_json()})
+                 "boundary_integral": rhs.mean, "fn": fn.to_json(),
+                 "integrals": {"solid": lhs.method, "boundary": rhs.method}})

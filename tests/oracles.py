@@ -797,3 +797,31 @@ def ellipsoid_area_mp(semi_axes, dps: int = 30) -> float:
         integral = mp.quad(f, [0, *cuts, mp.inf])
         return float(mp.fprod(b) * mp.pi ** (mp.mpf(n - 1) / 2) * integral
                      / (mp.sqrt(2) * mp.gamma(mp.mpf(n + 1) / 2)))
+
+
+def simplex_product_rule(vertices: np.ndarray, points: int):
+    """(nodes, weights) of the conical product rule on the simplex with
+    these d + 1 vertices (rows, in R^n): Gauss-Legendre with ``points``
+    nodes in each collapsed coordinate u of lambda_1 = u_1,
+    lambda_k = u_k prod_(j<k) (1 - u_j), weighted by that map's Jacobian
+    prod_j (1 - u_j)^(d - j) times d! |S|, with |S| from the Gram
+    determinant.  Exact for polynomials of degree <= 2 points - d, and
+    free of the sign cancellation of a high-degree Grundmann-Moeller
+    rule."""
+    V = np.asarray(vertices, dtype=float)
+    d = len(V) - 1
+    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    U = np.stack([g.ravel() for g in np.meshgrid(*[x] * d, indexing="ij")],
+                 axis=1)
+    W = np.prod(np.meshgrid(*[w] * d, indexing="ij"), axis=0).ravel()
+    lam = np.empty((len(U), d + 1))
+    rest = np.ones(len(U))
+    for j in range(d):
+        lam[:, j + 1] = rest * U[:, j]
+        W = W * (1.0 - U[:, j]) ** (d - 1 - j)
+        rest = rest * (1.0 - U[:, j])
+    lam[:, 0] = rest
+    E = V[1:] - V[0]
+    measure = math.sqrt(abs(np.linalg.det(E @ E.T))) / math.factorial(d)
+    return lam @ V, W * measure * math.factorial(d)

@@ -99,6 +99,23 @@ class TestVerifyHh:
         assert extra["ratio"] is None and extra["ratio_stderr"] is None
 
 
+    @pytest.mark.parametrize("body, fn, methods", [
+        ("unit-box-n3", "shifted-norm", ("quadrature", "quadrature")),
+        ("beck-ellipsoid-n2", "harmonic-cubic", ("exact", "quadrature")),
+        ("half-disk", "height-affine", ("sampled", "sampled")),
+    ])
+    def test_rows_name_each_sides_method(self, tmp_path, body, fn, methods):
+        paths = [tmp_path / f"r{i}.json" for i in range(2)]
+        for path in paths:
+            assert run(["verify-hh", "--body", body, "--fn", fn,
+                        "--boundary-samples", "4", "--out", str(path)]
+                       + BASE) == 0
+        rows = [load_json(path)["rows"] for path in paths]
+        assert rows[0] == rows[1]
+        expected = dict(zip(("solid", "boundary"), methods))
+        assert [r["extra"]["integrals"] for r in rows[0]] == [expected] * 2
+
+
 class TestGradient:
     def test_unit_ball_n4(self, tmp_path):
         out = tmp_path / "g.json"
@@ -326,6 +343,56 @@ class TestDeterminismAndErrors:
         assert captured.err.startswith(
             "error: laplacian nan is not finite at an interior probe")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("body, fn", [
+        ("unit-box-n2", {"kind": "affine", "constant": 1e308,
+                         "linear": [0, 0]}),
+        ("half-disk", {"kind": "affine", "constant": 1e308,
+                       "linear": [0, 0]}),
+        ("unit-box-n2", {"kind": "positive_combination", "terms": [
+            {"weight": 1e307, "fn": {"kind": "shifted_norm",
+                                     "anchor": [10, 0]}}]}),
+    ], ids=["exact", "sampled", "quadrature"])
+    def test_overflowing_integral_exits_2_with_one_line(self, tmp_path,
+                                                        capsys, fmt, body,
+                                                        fn):
+        # finite at every probe, but its integral leaves the float range:
+        # CSV printed bound=inf and passed, JSON printed numpy warnings
+        fn_path = tmp_path / "fn.json"
+        fn_path.write_text(json.dumps(fn))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify-hh", "--body", body, "--fn", str(fn_path),
+                        "--boundary-samples", "4", "--format", fmt] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the ")
+        assert "integral of f overflows the float range" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_bound_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     fmt):
+        # both integrals are finite; (sqrt 2/pi) vol^(1/2) x the boundary
+        # integral is not, and CSV printed bound=inf and passed
+        body_path = tmp_path / "body.json"
+        body_path.write_text(json.dumps({"dimension": 2, "shape": {
+            "type": "box", "lower": [0, 0], "upper": [1e10, 1e10]}}))
+        fn_path = tmp_path / "fn.json"
+        fn_path.write_text(json.dumps(
+            {"kind": "affine", "constant": 1e288, "linear": [0, 0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify-hh", "--body", str(body_path), "--fn",
+                        str(fn_path), "--boundary-samples", "4",
+                        "--format", fmt] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the bound on the solid integral "
+                                "overflows the float range\n")
 
     @pytest.mark.parametrize("argv", [
         ["gradient"],

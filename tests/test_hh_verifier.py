@@ -25,6 +25,31 @@ def half_disk():
     return presets.half_ball(2)
 
 
+def _anchor_out(body, k: float) -> np.ndarray:
+    """The point on the ray from the bounding box's centre along x_1 whose
+    anchor reading -distances_many is k diameters, or the nearest above it
+    (bisection to 1e-12 of the diameter)."""
+    lo, hi = body.bounding_box()
+    center = 0.5 * (lo + hi)
+
+    def point(t):
+        a = center.copy()
+        a[0] += t
+        return a
+
+    def reading(t):
+        return -float(body.distances_many(point(t)[None, :])[0])
+
+    target = k * body.diameter
+    near, far = 0.0, body.diameter
+    while reading(far) < target:
+        near, far = far, 2.0 * far
+    while far - near > 1e-12 * body.diameter:
+        mid = 0.5 * (near + far)
+        near, far = (mid, far) if reading(mid) < target else (near, mid)
+    return point(far)
+
+
 class TestFunctionKinds:
     def test_affine(self):
         f = hh.Affine(1.0, [0.0, -1.0])
@@ -398,7 +423,9 @@ class TestVerifyTheorem1:
         rep = hh.verify_theorem1(body, f, CFG)
         d = rep.details
         assert set(d) == {"ratio", "boundary_integral", "volume_root", "fn",
-                          "ratio_stderr", "boundary_integral_stderr"}
+                          "ratio_stderr", "boundary_integral_stderr",
+                          "integrals"}
+        assert d["integrals"] == {"solid": "sampled", "boundary": "sampled"}
         rhs = hh.boundary_integral(body, f, CFG)
         assert d["boundary_integral"] == rhs.mean
         assert d["boundary_integral_stderr"] == rhs.stderr > 0.0
@@ -463,35 +490,59 @@ class TestExactCubaturePath:
                 assert abs(exact.mean - est.mean) \
                     <= 5.0 * est.stderr + 1e-12 * abs(truth), (fn_name, integral)
             if boundary is None:
-                # the ellipsoid's boundary stays sampled, but its area is a
-                # closed form: the constant's boundary integral is exact
+                # the ellipsoid's boundary has a quadrature, normalized by
+                # the closed-form area, so the constant's is exact; f - f(0)
+                # is odd in a coordinate, so the integral is f(0) x area
                 rhs = hh.boundary_integral(body, fn, _EXACT_CFG)
+                truth = fn(body.center) * oracles.ellipsoid_area_mp(
+                    body.semi_axes)
+                assert rhs.method == "quadrature"
+                assert abs(rhs.mean - truth) \
+                    <= rhs.stderr + 1e-12 * abs(truth), fn_name
                 if fn_name == "constant":
                     assert rhs.stderr == 0.0
-                    assert rhs.mean == pytest.approx(
-                        oracles.ellipsoid_area_mp(body.semi_axes), rel=1e-12)
-                else:
-                    assert rhs.stderr > 0.0, fn_name
         norm = presets.shifted_norm_fn(body)
-        assert hh.volume_integral(body, norm, _EXACT_CFG).stderr > 0.0
+        assert hh.volume_integral(body, norm, _EXACT_CFG).method == "quadrature"
 
     @pytest.mark.parametrize("body", [presets.unit_box(2), presets.simplex(2),
-                                      presets.unit_ball(2)],
-                             ids=["box", "simplex", "ball"])
+                                      presets.unit_ball(2),
+                                      presets.beck_ellipsoid(2)],
+                             ids=["box", "simplex", "ball", "ellipsoid"])
     def test_sampled_outside_the_rules(self, body):
         # the sampled path, bit for bit, for a degree above the cap, a
-        # shifted norm and a combination with one
+        # shifted norm anchored 0.01 diameter out (too near for the rules
+        # to converge fast) and a combination with one
         cfg = WosConfig(samples=4000, seed=3)
         high = hh.HarmonicPolynomial(
             {(cg.CUBATURE_MAX_DEGREE + 1, 0): 1.0, (0, 0): 2.0}, 2)
+        near = hh.ShiftedNorm(_anchor_out(body, 0.01))
+        mixed = hh.PositiveCombination([(1.0, presets.height_affine(body)),
+                                        (0.5, near)])
+        for fn in (high, near, mixed):
+            for integral in (hh.volume_integral, hh.boundary_integral):
+                est = integral(body, fn, cfg)
+                assert est.method == "sampled" and est.stderr > 0.0
+                assert est == integral(body, oracles.sampled(fn), cfg)
+
+    @pytest.mark.parametrize("body", [presets.unit_box(2), presets.simplex(2),
+                                      presets.unit_ball(2),
+                                      presets.beck_ellipsoid(2)],
+                             ids=["box", "simplex", "ball", "ellipsoid"])
+    def test_quadrature_for_far_shifted_norms(self, body):
+        # a shifted norm anchored at least one diameter out, alone or in a
+        # combination, is a quadrature on both sides, within 5 combined
+        # errors of the sampled path
+        cfg = WosConfig(samples=20_000, seed=3)
         norm = presets.shifted_norm_fn(body)
         mixed = hh.PositiveCombination([(1.0, presets.height_affine(body)),
                                         (0.5, norm)])
-        for fn in (high, norm, mixed):
+        for fn in (norm, mixed):
             for integral in (hh.volume_integral, hh.boundary_integral):
                 est = integral(body, fn, cfg)
-                assert est.stderr > 0.0
-                assert est == integral(body, oracles.sampled(fn), cfg)
+                assert est.method == "quadrature" and est.stderr > 0.0
+                sampled = integral(body, oracles.sampled(fn), cfg)
+                assert abs(est.mean - sampled.mean) \
+                    <= 5.0 * math.hypot(est.stderr, sampled.stderr)
 
     def test_verify_theorem1_reports_exact_pairs(self):
         body = presets.unit_box(3)
@@ -508,6 +559,106 @@ class TestExactCubaturePath:
         rep = hh.verify_theorem1(body, presets.height_affine(body), FAST)
         assert rep.measured.stderr > 0.0 and rep.bound_stderr > 0.0
 
+def _reference(body, boundary: bool):
+    """A much finer rule than the quadrature's, and the measure that
+    normalizes it: the body's own families at degree 40, except on
+    simplices, which take a conical product rule (tests/oracles.py) on
+    each simplex; the ellipsoid's boundary is normalized by its area as
+    the quadrature is."""
+    if isinstance(body, cg.Polytope):
+        nodes = [f.sampler for f in body.faces] if boundary \
+            else [body._lattice[1]]
+        parts = [oracles.simplex_product_rule(v, 16)
+                 for node in nodes for v in node.simplices()[0]]
+        return (np.concatenate([x for x, _w in parts]),
+                np.concatenate([w for _x, w in parts]), None)
+    if not boundary:
+        return (*body._cubature(40), None)
+    if isinstance(body, cg.Ellipsoid):
+        return (*body._boundary_quadrature(40), body.surface_area_exact())
+    return (*body._boundary_cubature(40), None)
+
+
+def _reference_integral(body, fn, boundary: bool) -> float:
+    x, w, area = _reference(body, boundary)
+    if area is None:
+        return float(w @ fn.value(x))
+    return area * float(np.sum(w * fn.value(x)) / np.sum(w))
+
+
+_QUADRATURE_BODIES = [f"{kind}-n{n}" for n in (2, 3, 4)
+                      for kind in ("unit-ball", "unit-box", "simplex",
+                                   "beck-ellipsoid")]
+
+
+class TestQuadratureError:
+    """The reported quadrature error |Q_8 - Q_6| bounds the true error of
+    Q_8, read against a much finer rule, up to 1e-13 relative for the
+    rounding of both sums."""
+
+    @staticmethod
+    def assert_covered(body, fn, boundary, what):
+        integral = hh.boundary_integral if boundary else hh.volume_integral
+        est = integral(body, fn, FAST)
+        assert est.method == "quadrature", what
+        truth = _reference_integral(body, fn, boundary)
+        assert abs(est.mean - truth) <= est.stderr + 1e-13 * abs(truth), \
+            (what, est.mean - truth, est.stderr)
+
+    @pytest.mark.parametrize("name", _QUADRATURE_BODIES)
+    def test_shifted_norms_one_to_four_diameters_out(self, name):
+        body = presets.body_preset(name)
+        for k in (1.0, 2.0, 4.0):
+            fn = hh.ShiftedNorm(_anchor_out(body, k))
+            for boundary in (False, True):
+                self.assert_covered(body, fn, boundary, (k, boundary))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ellipsoid_boundary_suite_functions(self, n):
+        body = presets.beck_ellipsoid(n)
+        for fn_name, fn in presets.suite_functions(body):
+            self.assert_covered(body, fn, True, fn_name)
+
+
+class TestRuleSizeLimit:
+    def test_rules_above_the_limit_are_not_built(self):
+        box = cg.Box([0.0] * 9, [1.0] * 9)
+        # 5^9 nodes at degree 8 exceed 2^20; degree 6 has 4^9
+        assert cg.cubature(box, cg.CUBATURE_MAX_DEGREE) is None
+        assert cg.cubature(box, 6) is not None
+        assert cg.boundary_cubature(box, 6) is None  # 18 faces of 4^8
+        ball = cg.Ball([0.0] * 9, 1.0)
+        assert cg.cubature(ball, cg.CUBATURE_MAX_DEGREE) is None
+        assert cg.boundary_cubature(ball, 6) is not None
+
+    def test_polytope_counts_simplices_before_listing_them(self,
+                                                           monkeypatch):
+        degree = cg.CUBATURE_MAX_DEGREE
+        body = presets.random_polytope(3, 8, 1)
+        size = min(len(cg.cubature(body, degree)[1]),
+                   len(cg.boundary_cubature(body, degree)[1]))
+        body = presets.random_polytope(3, 8, 1)
+        body.faces  # the lattice, with no simplex listed
+        monkeypatch.setattr(cg, "CUBATURE_MAX_NODES", size - 1)
+
+        def listed(self):
+            raise AssertionError("simplices listed above the limit")
+
+        monkeypatch.setattr(cg._Cone, "simplices", listed)
+        assert cg.cubature(body, degree) is None
+        assert cg.boundary_cubature(body, degree) is None
+
+    def test_integrals_above_the_limit_are_sampled(self, monkeypatch):
+        body = presets.unit_box(3)
+        cfg = WosConfig(samples=4000, seed=3)
+        cubic, norm = presets.harmonic_cubic(body), presets.shifted_norm_fn(body)
+        # fewer nodes than the degree-3 rule's 2^3, the smallest asked for
+        monkeypatch.setattr(cg, "CUBATURE_MAX_NODES", 7)
+        for fn in (cubic, norm):
+            for integral in (hh.volume_integral, hh.boundary_integral):
+                est = integral(body, fn, cfg)
+                assert est.method == "sampled"
+                assert est == integral(body, oracles.sampled(fn), cfg)
 
 
 class _WritesInput(hh.Affine):
@@ -592,6 +743,17 @@ class TestSharedSampleSet:
         draws = _count_draws(monkeypatch)
         rep = hh.verify_theorem1(body, fn, CFG.replace(samples=30_000))
         assert rep.measured.stderr == rep.bound_stderr == 0.0
+        assert draws == [("boundary", 512), ("solid", 512)]
+
+    @pytest.mark.parametrize("name", ["unit-box-n3", "simplex-n4",
+                                      "unit-ball-n3", "beck-ellipsoid-n3"])
+    def test_quadrature_pair_draws_only_the_probes(self, monkeypatch, name):
+        body = presets.body_preset(name)
+        fn = presets.shifted_norm_fn(body)
+        draws = _count_draws(monkeypatch)
+        rep = hh.verify_theorem1(body, fn, CFG.replace(samples=30_000))
+        assert rep.details["integrals"] == {"solid": "quadrature",
+                                            "boundary": "quadrature"}
         assert draws == [("boundary", 512), ("solid", 512)]
 
     def test_function_writing_its_input_raises(self):
