@@ -476,20 +476,32 @@ class Integral(Estimate):
     method: str = field(kw_only=True)
 
 
+def _anchor_distance(body: cg.ConvexBody, anchor: np.ndarray) -> float:
+    """A lower bound on the distance from an outside anchor to the body:
+    the larger of -distances_many and |a - m| - h, with m the centre and h
+    the half-diagonal of the bounding box.  Both are lower bounds in every
+    family (the body lies in its box); the second keeps far anchors of
+    elongated bodies, where the first can read far less than the distance
+    (2 for a distance of 20 beside Ellipsoid([0, 0], [10, 1]))."""
+    lo, hi = body.bounding_box()
+    box = (float(np.linalg.norm(anchor - 0.5 * (lo + hi)))
+           - 0.5 * float(np.linalg.norm(hi - lo)))
+    return max(-float(body.distances_many(anchor[None, :])[0]), box)
+
+
 def _analytic(body: cg.ConvexBody, fn: SubharmonicFn) -> bool:
     """True when f is analytic on a neighbourhood of the closed body that
     the rules converge on fast: a polynomial of degree at most
     cg.CUBATURE_MAX_DEGREE, a shifted norm whose anchor is at least one
     diameter outside, or a positive combination of these.  The anchor's
-    distance is read as -distances_many, a lower bound on it outside the
-    body in every family.  Nearer anchors slow the rules (the difference
-    of two rules under-read the error of the finer one at 0.01 diameter),
-    so they are sampled."""
+    distance is read by _anchor_distance, a lower bound on it in every
+    family.  Nearer anchors slow the rules (the difference of two rules
+    under-read the error of the finer one at 0.01 diameter), so they are
+    sampled."""
     if isinstance(fn, PositiveCombination):
         return all(_analytic(body, part) for _w, part in fn.parts)
     if isinstance(fn, ShiftedNorm):
-        depth = body.distances_many(fn.anchor[None, :])[0]
-        return -float(depth) >= body.diameter
+        return _anchor_distance(body, fn.anchor) >= body.diameter
     return fn.degree is not None and fn.degree <= cg.CUBATURE_MAX_DEGREE
 
 

@@ -46,14 +46,22 @@ def _mix_int(z: int) -> int:
     return z
 
 
+# the kernel's words as numpy scalars, made once rather than per call
+_U30, _U27, _U31, _U11 = (np.uint64(b) for b in (30, 27, 31, 11))
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_UGOLDEN = np.uint64(_GOLDEN)
+_USTEP = np.uint64(_STEP_MULT)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place on a uint64 array (returned)."""
-    t = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=t)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=t)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=t)
+    t = np.right_shift(z, _U30)
+    z ^= t
+    z *= _MUL1
+    z ^= np.right_shift(z, _U27, out=t)
+    z *= _MUL2
+    z ^= np.right_shift(z, _U31, out=t)
     return z
 
 
@@ -73,36 +81,62 @@ def unit_keys(key: int, units: np.ndarray) -> np.ndarray:
     """Per-unit keys: unit ``units[i]``'s draws depend on it only
     through element i, at every counter."""
     u = np.asarray(units, dtype=np.uint64)
-    return _mix((u + np.uint64(derive(key))) * np.uint64(_GOLDEN))
+    z = u + np.uint64(derive(key))
+    z *= _UGOLDEN
+    return _mix(z)
 
 
 def draw_uniforms(keys: np.ndarray, counter: int, nslots: int) -> np.ndarray:
-    """``uniforms`` from per-unit keys, all slots in one pass."""
+    """``uniforms`` from per-unit keys, all slots in one pass.
+
+    The uint64 words wrap modulo 2^64 as array operations, and the
+    counter's word is reduced in Python before it becomes a numpy scalar,
+    so no counter raises numpy's scalar-overflow warning.  Fixed cost
+    matters here, since a walk's late steps draw a few rows each: the
+    kernel's constants are numpy scalars made once, and it allocates one
+    word array, one shift buffer and the result."""
     if nslots > MAX_SLOTS:
         raise ValueError(f"nslots {nslots} exceeds MAX_SLOTS {MAX_SLOTS}")
     first = np.uint64(int(counter) * MAX_SLOTS & _MASK)
-    words = (np.arange(nslots, dtype=np.uint64) + first) * np.uint64(_STEP_MULT)
-    z = _mix(keys[:, None] + words)
-    z >>= np.uint64(11)
+    words = np.arange(nslots, dtype=np.uint64)
+    words += first
+    words *= _USTEP
+    z = _mix(np.add(keys[:, None], words))
+    z >>= _U11
     # 53-bit mantissa, offset keeps draws strictly inside (0, 1)
-    return z * 2.0**-53 + 2.0**-54
+    u = np.multiply(z, 2.0**-53)
+    u += 2.0**-54
+    return u
 
 
 def draw_unit_vectors(keys: np.ndarray, counter: int, dim: int) -> np.ndarray:
     """``unit_vectors`` from per-unit keys.  Dimension 1 takes the sign of
     u - 1/2, the sign of the Gaussian ndtri(u); dimensions 2 and 3 use
-    exact angle maps (1 and 2 uniforms); higher ones normalize a Gaussian."""
+    exact angle maps (1 and 2 uniforms); higher ones normalize a Gaussian.
+
+    The angle maps write their columns into one array.  cos and sin run
+    on contiguous angles and only correctly rounded operations write into
+    the strided columns, so the values do not hang on which of numpy's
+    loops (vector or scalar) a layout selects."""
     if dim == 1:
         return np.where(draw_uniforms(keys, counter, 1) < 0.5, -1.0, 1.0)
     if dim == 2:
-        theta = 2.0 * np.pi * draw_uniforms(keys, counter, 1)[:, 0]
-        return np.column_stack((np.cos(theta), np.sin(theta)))
+        out = np.empty((len(keys), 2))
+        theta = draw_uniforms(keys, counter, 1)[:, 0]
+        theta *= 2.0 * np.pi
+        out[:, 0] = np.cos(theta)
+        out[:, 1] = np.sin(theta)
+        return out
     if dim == 3:
+        out = np.empty((len(keys), 3))
         u = draw_uniforms(keys, counter, 2)
-        z = 2.0 * u[:, 0] - 1.0
-        phi = 2.0 * np.pi * u[:, 1]
+        z = out[:, 2]
+        np.subtract(2.0 * u[:, 0], 1.0, out=z)
+        phi = u[:, 1] * (2.0 * np.pi)
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+        np.multiply(s, np.cos(phi), out=out[:, 0])
+        np.multiply(s, np.sin(phi), out=out[:, 1])
+        return out
     g = ndtri(draw_uniforms(keys, counter, dim))
     norm = np.linalg.norm(g, axis=1)
     norm[norm < 1e-300] = 1.0

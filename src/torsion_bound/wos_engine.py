@@ -9,11 +9,13 @@ O(shell_width * diameter).  Walks hitting the step cap add a uniform
 remainder bound (half the exit-time bound (1/n)(vol/omega_n)^{2/n}) so the
 estimate stays conservative, and are counted in truncated_fraction.
 
-All walks from one start advance together in one loop that drops walks
-from its arrays as they absorb; very large sample counts run in blocks of
-walk indices to bound memory.  Randomness is keyed by (seed, walk index,
-step), never by the start point, each walk's key derived once
-(``rng.unit_keys``), so every block size gives the same per-walk values.
+All walks from a set of starts advance together in one loop, one row per
+(walk, start) pair, that drops rows from its arrays as they absorb; very
+large sample counts run in blocks of walk indices to bound memory.
+Randomness is keyed by (seed, walk index, step), never by the start
+point, each walk's key derived once (``rng.unit_keys``): a step draws one
+direction per walk and gives it to all of that walk's rows, so every
+block size and every set of starts gives the same per-walk values.
 
 The gradient maximum probes each point of the body's stratified boundary
 sample (``ConvexBody.stratified_boundary``) once and keeps the largest
@@ -61,15 +63,27 @@ def _tail_bound(body: ConvexBody) -> float:
     return 0.5 * lifetime_bound(body.dimension, _volume_upper_bound(body))
 
 
-def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
-                   lo: int, hi: int, values: np.ndarray) -> int:
-    """Run walks lo..hi-1 from x, writing each walk's value into values at
-    its walk index; returns the number of walks that hit the step cap."""
-    n = body.dimension
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    keys = rng.unit_keys(key, ids)
-    pos = np.tile(x, (hi - lo, 1))
-    acc = np.zeros(hi - lo)
+def _torsion_block(body: ConvexBody, starts: np.ndarray, cfg: WosConfig,
+                   key: int, lo: int, hi: int, values: np.ndarray) -> np.ndarray:
+    """Run walks lo..hi-1 from each row of starts, writing walk i's value
+    from start s into values[s, i]; returns, per start, the number of
+    walks that hit the step cap.
+
+    One row per (walk, start) pair.  Each step draws one direction per
+    walk with a live row and gives it to all of that walk's rows: the
+    draw each start's own walk takes, so every row follows its one-start
+    path bit for bit."""
+    k, n = starts.shape
+    keys = rng.unit_keys(key, np.arange(lo, hi, dtype=np.uint64))
+    # flat index of each row's (start, walk) entry in values
+    slot = (np.arange(lo, hi)[:, None]
+            + np.arange(k)[None, :] * values.shape[1]).ravel()
+    flat = values.reshape(-1)
+    pos = np.tile(starts, (hi - lo, 1))
+    acc = np.zeros(len(slot))
+    # row -> its walk's entry in keys; none with one start, where each
+    # row is its own walk and keys shrink with the rows
+    walk = np.repeat(np.arange(hi - lo), k) if k > 1 else None
     shell = cfg.shell_width * body.diameter
     inv2n = 1.0 / (2.0 * n)
     for step in range(_MAX_STEPS):
@@ -77,21 +91,47 @@ def _torsion_block(body: ConvexBody, x: np.ndarray, cfg: WosConfig, key: int,
         alive = d > shell
         if not alive.all():
             dead = ~alive
-            values[ids[dead]] = acc[dead]
+            flat[slot[dead]] = acc[dead]
             # row takes by index: boolean selection of the (m, n) positions
             # costs over ten times as much
             keep = np.flatnonzero(alive)
             if keep.size == 0:
-                return 0
-            ids, keys, acc, d = (ids.take(keep), keys.take(keep),
-                                 acc.take(keep), d.take(keep))
+                return np.zeros(k, dtype=int)
+            slot, acc, d = slot.take(keep), acc.take(keep), d.take(keep)
             pos = pos.take(keep, axis=0)
+            if walk is None:
+                keys = keys.take(keep)
+            else:
+                walk = walk.take(keep)
+                live = np.zeros(keys.size, dtype=bool)
+                live[walk] = True
+                if not live.all():  # a walk lost its last row
+                    keys, walk = keys[live], (np.cumsum(live) - 1).take(walk)
         acc += d * d * inv2n
         dirs = rng.draw_unit_vectors(keys, step, n)
+        if walk is not None:
+            dirs = dirs.take(walk, axis=0)
         dirs *= d[:, None]
         pos += dirs
-    values[ids] = acc + _tail_bound(body)
-    return ids.size
+    flat[slot] = acc + _tail_bound(body)
+    return np.bincount(slot // values.shape[1], minlength=k)
+
+
+def _torsion_values(body: ConvexBody, starts: np.ndarray,
+                    cfg: WosConfig) -> list[Estimate]:
+    """One torsion Estimate per row of starts, all deeper than the shell,
+    from one walk loop: at most _BLOCK rows, so _BLOCK // k walks, per
+    block."""
+    k = len(starts)
+    key = rng.derive(cfg.seed, _TAG_TORSION)
+    values = np.empty((k, cfg.samples))
+    per = max(1, _BLOCK // k)
+    truncated = sum(
+        _torsion_block(body, starts, cfg, key, lo,
+                       min(lo + per, cfg.samples), values)
+        for lo in range(0, cfg.samples, per))
+    return [Estimate.from_values(v, truncated=int(t))
+            for v, t in zip(values, truncated)]
 
 
 def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
@@ -102,17 +142,13 @@ def torsion_value(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
     Walk i draws from (cfg.seed, i) alone, whatever x is: calls that share
     a cfg share walks (common random numbers), and a caller that needs
     independent estimates passes ``cfg.replace(seed=...)`` per call.
+    Several starts sharing a cfg run in one loop (``lifetime_bound_check``)
+    and give each start this call's Estimate bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if cg.distance_to_boundary(body, x) <= cfg.shell_width * body.diameter:
         raise ValueError("start point lies inside the absorbing shell")
-    key = rng.derive(cfg.seed, _TAG_TORSION)
-    values = np.empty(cfg.samples)
-    truncated = sum(
-        _torsion_block(body, x, cfg, key, lo, min(lo + _BLOCK, cfg.samples),
-                       values)
-        for lo in range(0, cfg.samples, _BLOCK))
-    return Estimate.from_values(values, truncated=truncated)
+    return _torsion_values(body, x[None, :], cfg)[0]
 
 
 def exit_time_mean(body: ConvexBody, x, cfg: WosConfig) -> Estimate:
@@ -207,7 +243,11 @@ def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
                          boundary_samples: int = 8) -> BoundReport:
     """Start walks a distance epsilon inside sampled boundary points and
     compare their exit times against the assembled bound at its optimal
-    horizon: eps (4/sqrt(pi)) (1/sqrt(n)) (vol/omega_n)^{1/n}."""
+    horizon: eps (4/sqrt(pi)) (1/sqrt(n)) (vol/omega_n)^{1/n}.
+
+    All starts run in one walk loop on shared draws (walk i takes the same
+    directions from every start), and each start's exit time equals its
+    own ``exit_time_mean`` call bit for bit."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if epsilon >= body.inradius():
@@ -229,8 +269,8 @@ def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
                 if vol.stderr else 0.0)
     worst = None
     per_point = []
-    for start in starts:
-        est = exit_time_mean(body, start, cfg)
+    for est in _torsion_values(body, np.array(starts), cfg):
+        est = est.scaled(2.0)
         per_point.append(est.mean)
         if worst is None or est.mean > worst.mean:
             worst = est

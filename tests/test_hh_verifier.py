@@ -13,6 +13,7 @@ from torsion_bound import analytic_library as al
 from torsion_bound import convex_geometry as cg
 from torsion_bound import hh_verifier as hh
 from torsion_bound import presets
+from torsion_bound import rng
 from torsion_bound.estimates import WosConfig
 
 import oracles
@@ -543,6 +544,43 @@ class TestExactCubaturePath:
                 sampled = integral(body, oracles.sampled(fn), cfg)
                 assert abs(est.mean - sampled.mean) \
                     <= 5.0 * math.hypot(est.stderr, sampled.stderr)
+
+    def test_far_anchor_of_an_elongated_body(self):
+        # the ellipsoid's -distances_many reads 2 at (30, 0), 20 from it;
+        # the bounding box's reading, 30 - sqrt(101), keeps (31, 0), one
+        # diameter (20) and more out, and leaves (30, 0) sampled
+        body = cg.Ellipsoid([0.0, 0.0], [10.0, 1.0])
+        assert body.diameter == 20.0
+        cfg = WosConfig(samples=2000, seed=3)
+        for x, method in ((31.0, "quadrature"), (30.0, "sampled")):
+            fn = hh.ShiftedNorm([x, 0.0])
+            for integral in (hh.volume_integral, hh.boundary_integral):
+                assert integral(body, fn, cfg).method == method, (x, integral)
+
+    @pytest.mark.parametrize("body", [
+        presets.unit_ball(2), presets.unit_box(3), presets.simplex(3),
+        presets.body_preset("random-polytope-n3"), presets.beck_ellipsoid(2),
+        cg.Ellipsoid([0.0, 0.0], [10.0, 1.0]), half_disk()],
+        ids=["ball", "box", "simplex", "polytope", "ellipsoid", "long-ellipse",
+             "half-disk"])
+    def test_anchor_distance_is_a_lower_bound(self, body):
+        # at most the least distance to a dense boundary sample, which is
+        # at least the distance, for random anchors outside up to two
+        # box half-diagonals from the box's centre
+        n = body.dimension
+        lo, hi = body.bounding_box()
+        center, half = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
+        boundary = body.boundary_arrays(40_000 if n == 2 else 200_000,
+                                        rng.derive(5, 1))[0]
+        dirs = rng.unit_vectors(5, np.arange(400, dtype=np.uint64), 0, n)
+        radii = half * (0.5 + 1.5 * rng.uniforms(5, np.arange(400, dtype=np.uint64),
+                                                 1, 1)[:, 0])
+        anchors = center + radii[:, None] * dirs
+        anchors = anchors[body.distances_many(anchors) < 0.0]
+        assert len(anchors) > 100
+        for a in anchors:
+            sampled = float(np.linalg.norm(boundary - a, axis=1).min())
+            assert hh._anchor_distance(body, a) <= sampled, a
 
     def test_verify_theorem1_reports_exact_pairs(self):
         body = presets.unit_box(3)

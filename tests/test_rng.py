@@ -68,11 +68,12 @@ class TestUnitVectors:
 
 
 class TestPerSlotReference:
-    """The draws equal the earlier per-slot implementation bit for bit."""
+    """The draws equal the earlier per-slot implementation bit for bit,
+    also at counters whose words wrap the 64-bit arithmetic."""
 
     @pytest.mark.parametrize("dim", range(1, 10))
     def test_draws_equal(self, dim):
-        for counter in (0, 7, 2**20):
+        for counter in (0, 7, 2**20, 2**58 + 3, 2**64 - 1, 2**70 + 5):
             for count in (0, 1, 7, 1500):
                 ids = np.arange(5, 5 + 2 * count, 2, dtype=np.uint64)
                 keys = rng.unit_keys(29, ids)

@@ -363,3 +363,105 @@ class TestLifetimeBoundCheck:
             wos.lifetime_bound_check(cg.Ball([0.0, 0.0], 1.0), epsilon=1.5,
                                      cfg=CFG)
 
+
+
+_FAMILIES = {"ball": presets.unit_ball, "box": presets.unit_box,
+             "simplex": presets.simplex, "ellipsoid": presets.beck_ellipsoid,
+             "half-ball": presets.half_ball}
+
+
+def _lifetime_and_starts(monkeypatch, body, cfg):
+    """lifetime_bound_check at eps = inradius / 10 from 4 boundary points,
+    with the starts its walk loop ran from."""
+    seen = []
+    loop = wos._torsion_values
+
+    def record(body, starts, cfg):
+        seen.append(starts.copy())
+        return loop(body, starts, cfg)
+
+    monkeypatch.setattr(wos, "_torsion_values", record)
+    rep = wos.lifetime_bound_check(body, 0.1 * body.inradius(), cfg,
+                                   boundary_samples=4)
+    monkeypatch.setattr(wos, "_torsion_values", loop)
+    assert len(seen) == 1
+    return rep, seen[0]
+
+
+def _assert_per_start(rep, starts, body, cfg):
+    """rep's figures equal a loop of one-start exit_time_mean calls."""
+    ref = [wos.exit_time_mean(body, x, cfg) for x in starts]
+    worst = ref[0]
+    for est in ref[1:]:
+        if est.mean > worst.mean:
+            worst = est
+    assert rep.details["per_point_means"] == [e.mean for e in ref]
+    assert rep.details["points_used"] == len(starts)
+    assert rep.measured == worst
+
+
+class TestMultiStart:
+    """The eps-deep starts run in one walk loop whose every start equals
+    its own one-start call bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_lifetime_equals_per_start_calls(self, monkeypatch, family, n):
+        body = _FAMILIES[family](n)
+        cfg = WosConfig(samples=1000, seed=n)
+        rep, starts = _lifetime_and_starts(monkeypatch, body, cfg)
+        assert len(starts) >= 2
+        _assert_per_start(rep, starts, body, cfg)
+
+    @pytest.mark.parametrize("block", [1, 777, wos._BLOCK])
+    @pytest.mark.parametrize("name", ["half-disk", "random-polytope-n3",
+                                      "simplex-n4"])
+    def test_lifetime_equal_across_blocks(self, monkeypatch, name, block):
+        body = presets.body_preset(name)
+        cfg = WosConfig(samples=300, seed=11)
+        ref, starts = _lifetime_and_starts(monkeypatch, body, cfg)
+        monkeypatch.setattr(wos, "_BLOCK", block)
+        rep = wos.lifetime_bound_check(body, 0.1 * body.inradius(), cfg,
+                                       boundary_samples=4)
+        assert rep.details == ref.details
+        assert rep.measured == ref.measured
+        monkeypatch.undo()
+        _assert_per_start(rep, starts, body, cfg)
+
+    def test_duplicate_starts_give_identical_estimates(self):
+        body = presets.body_preset("random-polytope-n3")
+        x = body.interior_point()
+        y = x + 0.3 * body.inradius()
+        cfg = WosConfig(samples=2000, seed=3)
+        ests = wos._torsion_values(body, np.array([x, x, y, x]), cfg)
+        assert ests[0] == ests[1] == ests[3] == wos.torsion_value(body, x, cfg)
+        assert ests[2] == wos.torsion_value(body, y, cfg) != ests[0]
+
+    @pytest.mark.parametrize("name", ["unit-ball-n2", "unit-box-n2",
+                                      "half-disk", "beck-ellipsoid-n4"])
+    def test_step_cap_counts_per_start(self, monkeypatch, name):
+        # starts at several depths, so each is capped on its own walks
+        body = presets.body_preset(name)
+        n = body.dimension
+        c = body.interior_point()
+        starts = np.array([c + t * body.inradius() * np.eye(n)[0]
+                           for t in (0.0, 0.5, 0.9, 0.99)])
+        cfg = WosConfig(samples=500, seed=7)
+        monkeypatch.setattr(wos, "_MAX_STEPS", 3)
+        ests = wos._torsion_values(body, starts, cfg)
+        one = [wos.torsion_value(body, x, cfg) for x in starts]
+        assert ests == one
+        fractions = [e.truncated_fraction for e in ests]
+        assert len(set(fractions)) > 1 and max(fractions) > 0.0
+
+    @pytest.mark.parametrize("name", ["unit-box-n2", "beck-ellipsoid-n4",
+                                      "half-disk", "simplex-n3"])
+    def test_every_start_equals_the_per_step_reference(self, name):
+        body = presets.body_preset(name)
+        n = body.dimension
+        c = body.interior_point()
+        starts = np.array([c + t * body.inradius() * np.eye(n)[-1]
+                           for t in (-0.5, 0.0, 0.7)])
+        cfg = WosConfig(samples=1000, seed=19)
+        for x, est in zip(starts, wos._torsion_values(body, starts, cfg)):
+            assert est == oracles.torsion_value_per_step(body, x, cfg)
