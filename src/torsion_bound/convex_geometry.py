@@ -129,7 +129,9 @@ class ConvexBody:
         on the distance, exact where the class docstring says so.  Ball,
         box and polytope distances are exact on both sides, an ellipsoid
         returns b_min (1 - sqrt(q)) <= 0 outside, and an intersection the
-        minimum over its members."""
+        minimum over its members.  ``points`` is (k, n) in any layout (a
+        walk passes the transpose of its (n, k) positions), and each row's
+        bits are the same in any layout, alone or among any rows."""
         raise NotImplementedError
 
     # -- derived geometry ---------------------------------------------------
@@ -318,12 +320,26 @@ def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
     return v
 
 
+def _sum_squares(cols) -> np.ndarray:
+    """sum_j cols[j]^2 by coordinates, in the order of ``einsum("ij,ij->i")``
+    on C-ordered rows (two-lane vectors): even and odd coordinates in two
+    sums, blocks of eight last term first.  So they keep its bits."""
+    full = len(cols) // 8 * 8
+    lanes = [None, None]
+    for j in [b + i for b in range(0, full, 8) for i in (6, 7, 4, 5, 2, 3, 0, 1)
+              ] + list(range(full, len(cols))):
+        sq, acc = cols[j] * cols[j], lanes[j % 2]
+        lanes[j % 2] = sq if acc is None else np.add(sq, acc, out=sq)
+    return lanes[0] + lanes[1]
+
+
 def _unit_ball_points(key: int, ids: np.ndarray, n: int) -> np.ndarray:
     """Uniform points of the unit ball, one per id: a direction (counter
-    0) times U^(1/n), U slot 0 of counter 1.  The ids are keyed once."""
+    0) times U^(1/n), U slot 0 of counter 1, in C-ordered rows.  The ids
+    are keyed once."""
     keys = rng.unit_keys(key, ids)
     radius = rng.draw_uniforms(keys, 1, 1) ** (1.0 / n)
-    return rng.draw_unit_vectors(keys, 0, n) * radius
+    return np.multiply(rng.draw_unit_vectors(keys, 0, n), radius, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +468,8 @@ class Ball(ConvexBody):
         self.dimension = center.size
 
     def distances_many(self, points):
-        d = points - self.center
-        return self.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
+        return self.radius - np.sqrt(_sum_squares(
+            [x - c for x, c in zip(points.T, self.center)]))
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -546,11 +562,11 @@ class Ellipsoid(ConvexBody):
 
     def distances_many(self, points):
         # scaled by b_min: r = b_min gap / (h + sqrt(h^2 + gap)), h = b_min g
-        b_min = self.semi_axes.min()
-        z = (points - self.center) / self.semi_axes
-        q = np.einsum("ij,ij->i", z, z)
-        z *= b_min / self.semi_axes
-        h2 = np.einsum("ij,ij->i", z, z)
+        b = self.semi_axes
+        b_min = b.min()
+        z = [(x - c) / bj for x, c, bj in zip(points.T, self.center, b)]
+        q = _sum_squares(z)
+        h2 = _sum_squares([zj * s for zj, s in zip(z, b_min / b)])
         gap = 1.0 - q
         r = np.maximum(gap, 0.0)
         r += h2
@@ -669,12 +685,13 @@ class Box(ConvexBody):
         self.upper = upper
         self.dimension = lower.size
 
-    # Reduces along the long axis of the transposed points: numpy reduces
+    # One coordinate at a time, along the points' columns: numpy reduces
     # a row of n values slowly, and min is exact.
     def distances_many(self, points):
-        pt = np.ascontiguousarray(points.T)
-        return np.minimum(pt - self.lower[:, None],
-                          self.upper[:, None] - pt).min(axis=0)
+        d = np.full(len(points), np.inf)
+        for x, lo, hi in zip(points.T, self.lower, self.upper):
+            np.minimum(d, np.minimum(x - lo, hi - x), out=d)
+        return d
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -784,8 +801,11 @@ def _coordinate_range(A, c, k: int, sign: float) -> float:
 
 
 def _slacks(A, c, points):
-    """min_i (c_i - a_i . x) per point, by one gemm reduced along the long
-    axis of its transpose (min is exact; A @ points.T rounds unlike it)."""
+    """min_i (c_i - a_i . x) per point: a gemm, whose sums do not hang on
+    the layout (gemv's do, so one face takes C-ordered points), then the
+    min along the rows of its transpose (min is exact)."""
+    if len(A) == 1:
+        points = np.ascontiguousarray(points)
     q = np.ascontiguousarray((points @ A.T).T)
     return np.subtract(c[:, None], q, out=q).min(axis=0)
 

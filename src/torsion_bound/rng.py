@@ -89,6 +89,8 @@ def unit_keys(key: int, units: np.ndarray) -> np.ndarray:
 def draw_uniforms(keys: np.ndarray, counter: int, nslots: int) -> np.ndarray:
     """``uniforms`` from per-unit keys, all slots in one pass.
 
+    The words are slot-major, (nslots, k) from ``np.add.outer``, so each
+    operation runs along rows of k keys; the result is their transpose.
     The uint64 words wrap modulo 2^64 as array operations, and the
     counter's word is reduced in Python before it becomes a numpy scalar,
     so no counter raises numpy's scalar-overflow warning.  Fixed cost
@@ -101,12 +103,12 @@ def draw_uniforms(keys: np.ndarray, counter: int, nslots: int) -> np.ndarray:
     words = np.arange(nslots, dtype=np.uint64)
     words += first
     words *= _USTEP
-    z = _mix(np.add(keys[:, None], words))
+    z = _mix(np.add.outer(words, keys))
     z >>= _U11
     # 53-bit mantissa, offset keeps draws strictly inside (0, 1)
     u = np.multiply(z, 2.0**-53)
     u += 2.0**-54
-    return u
+    return u.T
 
 
 def draw_unit_vectors(keys: np.ndarray, counter: int, dim: int) -> np.ndarray:
@@ -114,48 +116,54 @@ def draw_unit_vectors(keys: np.ndarray, counter: int, dim: int) -> np.ndarray:
     u - 1/2, the sign of the Gaussian ndtri(u); dimensions 2 and 3 use
     exact angle maps (1 and 2 uniforms); higher ones normalize a Gaussian.
 
-    The angle maps write their columns into one array.  cos and sin run
-    on contiguous angles and only correctly rounded operations write into
-    the strided columns, so the values do not hang on which of numpy's
+    The maps write the coordinate rows of a (dim, k) array from the slot
+    rows, and return its transpose: no write is strided, and cos and sin
+    run on contiguous rows, so the values do not hang on which of numpy's
     loops (vector or scalar) a layout selects."""
     if dim == 1:
         return np.where(draw_uniforms(keys, counter, 1) < 0.5, -1.0, 1.0)
     if dim == 2:
-        out = np.empty((len(keys), 2))
-        theta = draw_uniforms(keys, counter, 1)[:, 0]
+        theta = draw_uniforms(keys, counter, 1).T[0]
         theta *= 2.0 * np.pi
-        out[:, 0] = np.cos(theta)
-        out[:, 1] = np.sin(theta)
-        return out
+        out = np.empty((2, len(keys)))
+        np.cos(theta, out=out[0])
+        np.sin(theta, out=out[1])
+        return out.T
     if dim == 3:
-        out = np.empty((len(keys), 3))
-        u = draw_uniforms(keys, counter, 2)
-        z = out[:, 2]
-        np.subtract(2.0 * u[:, 0], 1.0, out=z)
-        phi = u[:, 1] * (2.0 * np.pi)
+        u, phi = draw_uniforms(keys, counter, 2).T
+        out = np.empty((3, len(keys)))
+        z = np.subtract(2.0 * u, 1.0, out=out[2])
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        np.multiply(s, np.cos(phi), out=out[:, 0])
-        np.multiply(s, np.sin(phi), out=out[:, 1])
-        return out
-    g = ndtri(draw_uniforms(keys, counter, dim))
-    norm = np.linalg.norm(g, axis=1)
+        phi *= 2.0 * np.pi
+        np.multiply(s, np.cos(phi), out=out[0])
+        np.multiply(s, np.sin(phi), out=out[1])
+        return out.T
+    g = ndtri(draw_uniforms(keys, counter, dim).T)
+    if dim < 8:  # numpy's norm: in turn, as a sum down the rows adds
+        norm = np.sqrt(np.square(g).sum(axis=0))
+    else:  # pairwise, along contiguous rows of 8 or more
+        norm = np.linalg.norm(g.T.copy(), axis=1)
     norm[norm < 1e-300] = 1.0
-    return g / norm[:, None]
+    g /= norm
+    return g.T
 
 
 def uniforms(key: int, units: np.ndarray, counter: int, nslots: int) -> np.ndarray:
-    """Draws in (0, 1), shape ``(len(units), nslots)``.
+    """Draws in (0, 1), C-ordered rows of shape ``(len(units), nslots)``
+    (as for ``unit_vectors``): matrix products round by layout.
 
     ``counter`` advances per use site (e.g. per rejection round);
     ``nslots`` is at most MAX_SLOTS, so one counter's slots never reach
     the next counter's.
     """
-    return draw_uniforms(unit_keys(key, units), counter, nslots)
+    return np.ascontiguousarray(draw_uniforms(unit_keys(key, units), counter,
+                                              nslots))
 
 
 def unit_vectors(key: int, units: np.ndarray, counter: int, dim: int) -> np.ndarray:
-    """Uniform directions on the unit sphere S^{dim-1}, one per unit."""
-    return draw_unit_vectors(unit_keys(key, units), counter, dim)
+    """Uniform directions on the unit sphere S^{dim-1}, one row per unit."""
+    return np.ascontiguousarray(draw_unit_vectors(unit_keys(key, units),
+                                                  counter, dim))
 
 
 def _path_key(key: int, index: int) -> np.ndarray:

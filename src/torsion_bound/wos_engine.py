@@ -9,12 +9,14 @@ O(shell_width * diameter).  Walks hitting the step cap add a uniform
 remainder bound (half the exit-time bound (1/n)(vol/omega_n)^{2/n}) so the
 estimate stays conservative, and are counted in truncated_fraction.
 
-All walks from a set of starts advance together in one loop, one row per
-(walk, start) pair, that drops rows from its arrays as they absorb; very
-large sample counts run in blocks of walk indices to bound memory.
+All walks from a set of starts advance together in one loop, one column
+of the coordinate-major (n, m) positions per (walk, start) pair, so a
+step runs along rows of m; it drops columns as they absorb, and the
+distance oracles take the (m, n) transpose.  Very large sample counts
+run in blocks of walk indices to bound memory.
 Randomness is keyed by (seed, walk index, step), never by the start
 point, each walk's key derived once (``rng.unit_keys``): a step draws one
-direction per walk and gives it to all of that walk's rows, so every
+direction per walk and gives it to all of that walk's columns, so every
 block size and every set of starts gives the same per-walk values.
 
 The gradient maximum probes each point of the body's stratified boundary
@@ -69,49 +71,49 @@ def _torsion_block(body: ConvexBody, starts: np.ndarray, cfg: WosConfig,
     from start s into values[s, i]; returns, per start, the number of
     walks that hit the step cap.
 
-    One row per (walk, start) pair.  Each step draws one direction per
-    walk with a live row and gives it to all of that walk's rows: the
-    draw each start's own walk takes, so every row follows its one-start
-    path bit for bit."""
+    One column of the (n, m) positions per (walk, start) pair.  Each step
+    draws one direction per walk with a live column and gives it to all
+    of that walk's columns: the draw each start's own walk takes, so
+    every column follows its one-start path bit for bit."""
     k, n = starts.shape
     keys = rng.unit_keys(key, np.arange(lo, hi, dtype=np.uint64))
-    # flat index of each row's (start, walk) entry in values
+    # flat index of each column's (start, walk) entry in values
     slot = (np.arange(lo, hi)[:, None]
             + np.arange(k)[None, :] * values.shape[1]).ravel()
     flat = values.reshape(-1)
-    pos = np.tile(starts, (hi - lo, 1))
+    pos = np.tile(starts.T, hi - lo)
     acc = np.zeros(len(slot))
-    # row -> its walk's entry in keys; none with one start, where each
-    # row is its own walk and keys shrink with the rows
+    # column -> its walk's entry in keys; none with one start, where each
+    # column is its own walk and keys shrink with the columns
     walk = np.repeat(np.arange(hi - lo), k) if k > 1 else None
     shell = cfg.shell_width * body.diameter
     inv2n = 1.0 / (2.0 * n)
     for step in range(_MAX_STEPS):
-        d = body.distances_many(pos)
+        d = body.distances_many(pos.T)
         alive = d > shell
         if not alive.all():
             dead = ~alive
             flat[slot[dead]] = acc[dead]
-            # row takes by index: boolean selection of the (m, n) positions
-            # costs over ten times as much
+            # takes by index: boolean selection of the positions costs over
+            # ten times as much
             keep = np.flatnonzero(alive)
             if keep.size == 0:
                 return np.zeros(k, dtype=int)
             slot, acc, d = slot.take(keep), acc.take(keep), d.take(keep)
-            pos = pos.take(keep, axis=0)
+            pos = pos.take(keep, axis=1)
             if walk is None:
                 keys = keys.take(keep)
             else:
                 walk = walk.take(keep)
                 live = np.zeros(keys.size, dtype=bool)
                 live[walk] = True
-                if not live.all():  # a walk lost its last row
+                if not live.all():  # a walk lost its last column
                     keys, walk = keys[live], (np.cumsum(live) - 1).take(walk)
         acc += d * d * inv2n
-        dirs = rng.draw_unit_vectors(keys, step, n)
+        dirs = rng.draw_unit_vectors(keys, step, n).T
         if walk is not None:
-            dirs = dirs.take(walk, axis=0)
-        dirs *= d[:, None]
+            dirs = dirs.take(walk, axis=1)
+        dirs *= d
         pos += dirs
     flat[slot] = acc + _tail_bound(body)
     return np.bincount(slot // values.shape[1], minlength=k)
@@ -120,7 +122,7 @@ def _torsion_block(body: ConvexBody, starts: np.ndarray, cfg: WosConfig,
 def _torsion_values(body: ConvexBody, starts: np.ndarray,
                     cfg: WosConfig) -> list[Estimate]:
     """One torsion Estimate per row of starts, all deeper than the shell,
-    from one walk loop: at most _BLOCK rows, so _BLOCK // k walks, per
+    from one walk loop: at most _BLOCK columns, so _BLOCK // k walks, per
     block."""
     k = len(starts)
     key = rng.derive(cfg.seed, _TAG_TORSION)

@@ -280,6 +280,61 @@ class TestLongAxisReductions:
         assert 0 < inside.sum() < count
 
 
+def general_intersection(n):
+    """An ellipsoid cut by a box and a half-space: three members of three
+    families, so neither a half-ball nor a single family."""
+    a = np.ones(n) / math.sqrt(n)
+    return cg.Intersection([
+        cg.Ellipsoid(0.1 * np.arange(n), 1.0 + 0.25 * np.arange(n)),
+        cg.Box(np.full(n, -0.8), np.full(n, 1.5)),
+        cg.Polytope([(a, 0.9)], require_bounded=False)])
+
+
+LAYOUT_BODIES = {
+    "ball": lambda n: cg.Ball(0.3 * np.arange(n) - 0.5, 1.25),
+    "ellipsoid": lambda n: random_ellipsoid(np.random.default_rng(n), n),
+    "box": lambda n: cg.Box(-0.2 * np.arange(1, n + 1), 0.5 * np.arange(1, n + 1)),
+    "polytope": lambda n: presets.random_polytope(n, 2 * n + 3, seed=n),
+    "half-ball": presets.half_ball,
+    "intersection": general_intersection,
+}
+
+
+class TestDistanceLayouts:
+    """A walk holds its positions coordinate-major and passes their (k, n)
+    transpose: each row's distance must be the same bits in any memory
+    layout, alone, and in any subset of rows."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("family", sorted(LAYOUT_BODIES))
+    def test_rows_independent_of_layout(self, family, n):
+        body = LAYOUT_BODIES[family](n)
+        lo, hi = body.bounding_box()
+        x0 = body.interior_point()
+        u = rng.uniforms(67, np.arange(301, dtype=np.uint64), 0, n)
+        # the bounding box grown by 20% on each side, every other point
+        # pulled towards the interior: points inside and out
+        pull = np.where(np.arange(301) % 2, 0.1, 1.0)[:, None]
+        rows = np.ascontiguousarray(
+            x0 + pull * (lo + (1.4 * u - 0.2) * (hi - lo) - x0))
+        ref = body.distances_many(rows)
+        assert 0 < (ref >= 0.0).sum() < len(rows)
+        coords = np.ascontiguousarray(rows.T)
+        assert coords.T.flags.f_contiguous
+        assert np.array_equal(body.distances_many(coords.T), ref)
+        alone = [body.distances_many(rows[i:i + 1]) for i in range(len(rows))]
+        assert all(d.shape == (1,) for d in alone)
+        assert np.array_equal(np.concatenate(alone), ref)
+        for i in (0, 150, 300):
+            assert np.array_equal(body.distances_many(coords[:, i:i + 1].T),
+                                  ref[i:i + 1])
+        order = np.random.default_rng(n).permutation(len(rows))
+        for idx in (np.arange(0, 301, 3), order[:37], order[:2]):
+            assert np.array_equal(body.distances_many(rows[idx]), ref[idx])
+            assert np.array_equal(body.distances_many(coords.take(idx, axis=1).T),
+                                  ref[idx])
+
+
 class TestVolume:
     def test_ball_exact(self):
         est = cg.volume(cg.Ball([0, 0], 1.0), CFG)
