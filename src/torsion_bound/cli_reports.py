@@ -192,20 +192,16 @@ def cmd_gradient(args) -> int:
     n = body.dimension
     bound = al.theorem2_bound(n, vol.mean)
     raw = al.theorem2_raw_bound(n, vol.mean)
-    bound_se = bound * vol.stderr / (n * vol.mean) if vol.stderr else 0.0
-    raw_se = raw * vol.stderr / (n * vol.mean) if vol.stderr else 0.0
     rep = al.make_report(
         "max_normal_derivative", est, bound,
         provenance="max inward normal derivative of the torsion function "
                    "<= (sqrt(2)/pi) vol^(1/n)",
-        bound_stderr=bound_se,
         details={"location": result.location.tolist(),
                  "volume": vol.mean, "evaluations": result.evaluations})
     rep_raw = al.make_report(
         "max_normal_derivative", est, raw,
         provenance="pre-simplification bound "
-                   "(2/sqrt(pi)) n^(-1/2) (vol/omega_n)^(1/n)",
-        bound_stderr=raw_se)
+                   "(2/sqrt(pi)) n^(-1/2) (vol/omega_n)^(1/n)")
     rows = [_report_row(rep, cfg.seed), _report_row(rep_raw, cfg.seed)]
     ok = rep.passed and rep_raw.passed and not _any_degraded([est])
     header = _header(args, "gradient", cfg, body=body_name,

@@ -24,7 +24,7 @@ and 6 where the body has them, ellipsoid boundaries included
 (cg.boundary_quadrature): the value is the degree-8 one and the stderr
 the quadrature error |Q_8 - Q_6|.  Everything else is sampled: nearer
 anchors, higher degrees, rules larger than cg.CUBATURE_MAX_NODES and
-intersections (the half-balls among them).  Each report names the
+half-balls, which have no rules.  Each report names the
 method of each side.  An integral that is not finite (an overflow of the
 float range) raises ValueError.
 
@@ -33,13 +33,11 @@ seed, never on f, and is drawn on first use: the 512 interior and 512
 boundary certificate probes (keyed by (seed, _TAG_CERT, 1 or 2)), and for
 a sampled integral the cfg.samples uniform interior points (seed,
 _TAG_VOLUME_INT) or the cfg.samples weighted boundary points (seed,
-_TAG_BOUNDARY_INT), with the volume and surface area.  A pair with no
-sampled side draws only the probes.  Interior points are exact draws,
-one candidate per point, except on intersections, which reject from
-their bounding box.  The volume and area are closed forms except on an
-intersection other than a ball cut by one half-space, where they are
-Monte Carlo estimates on (cfg.seed, cfg.samples).  The probes of the
-most recent (body identity, seed), and the draws made so far for the
+_TAG_BOUNDARY_INT).  A pair with no sampled side draws only the probes.
+Interior points are exact draws, one candidate per point, except on
+half-balls, which reject from their bounding box.  The volume and
+surface area are closed forms on every body.  The probes of the most
+recent (body identity, seed), and the draws made so far for the
 most recent (body identity, cfg.seed, cfg.samples), stay in memory,
 read-only, until a call with another key replaces them; so checking
 several functions on one body draws each sample once and gives the same
@@ -587,9 +585,9 @@ def volume_integral(body: cg.ConvexBody, fn: SubharmonicFn,
     - quadrature when f is analytic on the body (see _analytic: a far
       shifted norm, or a positive combination holding one): Q_8 from the
       cubature rules of degrees 8 and 6, with stderr |Q_8 - Q_6|;
-    - sampled otherwise (intersections, near anchors, higher degrees):
-      the mean of f over uniform interior samples times the body volume,
-      both drawn, on first use, for (body, cfg.seed, cfg.samples).
+    - sampled otherwise (half-balls, near anchors, higher degrees):
+      the mean of f over uniform interior samples, drawn on first use for
+      (body, cfg.seed, cfg.samples), times the exact body volume.
 
     A rule larger than cg.CUBATURE_MAX_NODES is not built, and its
     integral is sampled.  ValueError when the value is not finite (an
@@ -606,12 +604,11 @@ def boundary_integral(body: cg.ConvexBody, fn: SubharmonicFn,
       boundary has no exact rule (cg.boundary_quadrature, normalized by
       the closed-form area, so a constant f is exact with stderr 0);
     - sampled otherwise: the importance-weighted mean of f over boundary
-      samples times the surface area.  The stderr includes the weight
-      variance (delta method on the self-normalized ratio) and the
-      area's, which is 0 but on intersections other than half-balls.  A
-      constant f then has stderr 0 up to rounding (0 for f = 1).
-      Samples, weights and area are drawn, on first use, for (body,
-      cfg.seed, cfg.samples)."""
+      samples times the exact surface area.  The stderr is the weight
+      variance's (delta method on the self-normalized ratio), so a
+      constant f has stderr 0 up to rounding (0 for f = 1).
+      Samples and weights are drawn, on first use, for (body, cfg.seed,
+      cfg.samples)."""
     return _integral(body, fn, cfg, boundary=True)
 
 
@@ -665,10 +662,7 @@ def verify_theorem1(body: cg.ConvexBody, fn: SubharmonicFn,
     vol = _sample_set(body, cfg.seed, cfg.samples).volume
     root = vol.mean ** (1.0 / n)
     bound = GRADIENT_CONSTANT * root * rhs.mean
-    bound_se = math.hypot(
-        GRADIENT_CONSTANT * root * rhs.stderr,
-        GRADIENT_CONSTANT * rhs.mean * root * vol.stderr / (n * vol.mean)
-        if vol.stderr else 0.0)
+    bound_se = GRADIENT_CONSTANT * root * rhs.stderr
     _finite_bound(bound, bound_se)
     ratio = ratio_se = None  # undefined when the boundary integral is 0
     if rhs.mean != 0:

@@ -51,18 +51,10 @@ _BLOCK = 65_536
 _MAX_STEPS = 100_000
 
 
-def _volume_upper_bound(body: ConvexBody) -> float:
-    v = body.volume_exact()
-    if v is not None:
-        return v
-    lo, hi = body.bounding_box()
-    return float(np.prod(hi - lo))
-
-
 def _tail_bound(body: ConvexBody) -> float:
     """Upper bound on the torsion value anywhere in the body (conservative
     remainder for capped walks)."""
-    return 0.5 * lifetime_bound(body.dimension, _volume_upper_bound(body))
+    return 0.5 * lifetime_bound(body.dimension, body.volume_exact())
 
 
 def _torsion_block(body: ConvexBody, starts: np.ndarray, cfg: WosConfig,
@@ -265,10 +257,7 @@ def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
     if not starts:
         raise ValueError("no epsilon-deep start points (epsilon too large "
                          "for the sampled boundary region)")
-    vol = cg.volume(body, cfg)
-    bound = minimized_bound(epsilon, body.dimension, vol.mean)
-    bound_se = (bound * vol.stderr / (body.dimension * vol.mean)
-                if vol.stderr else 0.0)
+    bound = minimized_bound(epsilon, body.dimension, cg.volume(body, cfg).mean)
     worst = None
     per_point = []
     for est in _torsion_values(body, np.array(starts), cfg):
@@ -280,7 +269,6 @@ def lifetime_bound_check(body: ConvexBody, epsilon: float, cfg: WosConfig,
         "exit_time_near_boundary", worst, bound,
         provenance="exit time from an eps-deep start <= "
                    "eps (4/sqrt(pi)) n^(-1/2) (vol/omega_n)^(1/n)",
-        bound_stderr=bound_se,
         details={"epsilon": epsilon, "points_used": len(starts),
                  "per_point_means": per_point})
     return report

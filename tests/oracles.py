@@ -676,8 +676,6 @@ def lp_face_table(poly) -> list[tuple[int, float]]:
         area = _hrep_volume(A2, c2, scale) if len(c2) else 0.0
         if area <= 1e-12 * scale ** (poly.dimension - 1):
             continue
-        if isinstance(poly, cg._ClippedPolytope) and i >= poly._n_original:
-            continue
         out.append((i, area))
     return out
 

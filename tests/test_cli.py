@@ -263,6 +263,22 @@ class TestDeterminismAndErrors:
         assert run(["gradient", "--body", self.box_file(tmp_path), "--n", "2",
                     "--samples", "200", "--boundary-samples", "2"]) == 0
 
+    def test_lens_body_exits_2_with_one_line(self, tmp_path, capsys):
+        # two balls are not a half-ball, the only intersection accepted
+        path = tmp_path / "lens.json"
+        path.write_text(json.dumps({"dimension": 2, "shape": {
+            "type": "intersection", "members": [
+                {"type": "ball", "center": [0, 0], "radius": 1},
+                {"type": "ball", "center": [0.5, 0], "radius": 1}]}}))
+        code = run(["verify-hh", "--body", str(path), "--fn", "constant",
+                    "--boundary-samples", "8"] + BASE)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "single polytope" in captured.err
+
     def test_height_affine_on_a_body_topping_out_at_0_exits_2(self, tmp_path,
                                                               capsys):
         # 1 - y / sup y is undefined when sup y = 0; numpy warnings would

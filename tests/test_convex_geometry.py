@@ -25,6 +25,11 @@ def half_disk():
     ])
 
 
+def half_space(normal, offset=0.0):
+    """The unbounded {a . x <= offset}, as a half-ball's cut."""
+    return cg.Polytope([(np.array(normal), offset)], require_bounded=False)
+
+
 def unit_simplex(n):
     halves = []
     for i in range(n):
@@ -241,17 +246,10 @@ ROW_FORMULA_BODIES = {
     "half-disk": half_disk,
     "ball-n3": lambda: cg.Ball([0.5, -1.0, 2.0], 1.5),
     "ellipsoid-n3": lambda: cg.Ellipsoid([0.5, -1.0, 2.0], [3.0, 0.4, 1.0]),
-    "ellipsoid-cut-n3": lambda: cg.Intersection([
-        cg.Ellipsoid([0.5, -1.0, 2.0], [3.0, 0.4, 1.0]),
-        cg.Polytope([(np.array([0.6, 0.0, 0.8]), 1.5)],
-                    require_bounded=False)]),
 }
 
 
 def is_flat(body):
-    """True when every member of the body is a box or a polytope."""
-    if isinstance(body, cg.Intersection):
-        return all(map(is_flat, body.members))
     return isinstance(body, (cg.Box, cg.Polytope))
 
 
@@ -280,14 +278,11 @@ class TestLongAxisReductions:
         assert 0 < inside.sum() < count
 
 
-def general_intersection(n):
-    """An ellipsoid cut by a box and a half-space: three members of three
-    families, so neither a half-ball nor a single family."""
-    a = np.ones(n) / math.sqrt(n)
-    return cg.Intersection([
-        cg.Ellipsoid(0.1 * np.arange(n), 1.0 + 0.25 * np.arange(n)),
-        cg.Box(np.full(n, -0.8), np.full(n, 1.5)),
-        cg.Polytope([(a, 0.9)], require_bounded=False)])
+def oblique_half_ball(n):
+    """A ball off the origin cut by a plane along no axis, the half-space
+    member first."""
+    body = half_space_cut(0.1 * np.arange(n), 1.25, np.ones(n), 0.3)
+    return cg.Intersection(body.members[::-1])
 
 
 LAYOUT_BODIES = {
@@ -296,7 +291,7 @@ LAYOUT_BODIES = {
     "box": lambda n: cg.Box(-0.2 * np.arange(1, n + 1), 0.5 * np.arange(1, n + 1)),
     "polytope": lambda n: presets.random_polytope(n, 2 * n + 3, seed=n),
     "half-ball": presets.half_ball,
-    "intersection": general_intersection,
+    "intersection": oblique_half_ball,
 }
 
 
@@ -335,6 +330,17 @@ class TestDistanceLayouts:
                                   ref[idx])
 
 
+def mc_volume(body, count, seed):
+    """(mean, stderr) of the body's volume by uniform points of its
+    bounding box, tested with ``contains_many``: a check of the closed
+    forms against the membership oracle alone."""
+    lo, hi = body.bounding_box()
+    u = rng.uniforms(rng.derive(seed, 102),
+                     np.arange(count, dtype=np.uint64), 0, body.dimension)
+    hits = body.contains_many(lo + u * (hi - lo)) * float(np.prod(hi - lo))
+    return float(hits.mean()), float(hits.std(ddof=1)) / math.sqrt(count)
+
+
 class TestVolume:
     def test_ball_exact(self):
         est = cg.volume(cg.Ball([0, 0], 1.0), CFG)
@@ -344,22 +350,17 @@ class TestVolume:
     def test_ellipsoid_exact_and_mc_cross_check(self):
         e = cg.Ellipsoid([0.0, 0.0], [2.0, math.sqrt(2.0)])
         est = cg.volume(e, CFG)
+        assert est.stderr == 0.0
         assert est.mean == pytest.approx(2.0 * math.sqrt(2.0) * math.pi)
-        # rejection-sample the same ellipsoid as an Intersection member to
-        # force the Monte Carlo path
-        forced = cg.Intersection([e, cg.Box([-2, -2], [2, 2])])
-        mc = cg.volume(forced, CFG)
-        assert abs(mc.mean - est.mean) <= 4.0 * mc.stderr
+        mean, se = mc_volume(e, CFG.samples, CFG.seed)
+        assert abs(mean - est.mean) <= 4.0 * se
 
     def test_half_disk_exact(self):
         est = cg.volume(half_disk(), CFG)
         assert est.stderr == 0.0 and est.samples == 0
         assert est.mean == pytest.approx(math.pi / 2.0, rel=1e-15)
-        # a third member, which changes nothing, forces Monte Carlo
-        forced = cg.Intersection([*half_disk().members, cg.Box([-2, -2], [2, 2])])
-        mc = cg.volume(forced, CFG)
-        assert mc.stderr > 0
-        assert abs(mc.mean - est.mean) <= 4.0 * mc.stderr
+        mean, se = mc_volume(half_disk(), CFG.samples, CFG.seed)
+        assert abs(mean - est.mean) <= 4.0 * se
 
     def test_polytope_mc_vs_lasserre(self):
         # the face (Lasserre) decomposition is exact; the Monte Carlo
@@ -523,17 +524,6 @@ def square_with_cut_corner(depth=1e-9):
               for k in range(2) for sign in (-1.0, 1.0)]
     r = 1.0 / math.sqrt(2.0)
     return cg.Polytope(halves + [(np.array([r, r]), (2.0 - depth) * r)])
-
-
-def clipped_members(n):
-    """The half-space member of presets.half_ball(n) clipped, as a general
-    intersection's mixture clips it, to the body's bounding box grown by
-    1e-9 of its diameter."""
-    body = presets.half_ball(n)
-    lo, hi = body.bounding_box()
-    pad = 1e-9 * scale_of(body)
-    return [cg._clip_to_box(m, lo - pad, hi + pad) for m in body.members
-            if isinstance(m, cg.Polytope)]
 
 
 def hull(poly):
@@ -706,17 +696,6 @@ class TestFaceTables:
         assert [f.area for f in poly.faces] == pytest.approx(areas, rel=rel)
         assert poly.volume_exact() == pytest.approx(thickness, rel=rel)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_clipped_half_ball_members(self, n):
-        # the box face below the kept face lies 1e-9 scale beyond it
-        (member,) = clipped_members(n)
-        self.assert_matches_lp(member)
-        (face,) = member.faces
-        assert face.index == 0
-        pad = 1e-9 * scale_of(presets.half_ball(n))
-        assert face.area == pytest.approx((2.0 + 2.0 * pad) ** (n - 1),
-                                          rel=1e-14)
-
     def test_complement_is_an_orthonormal_chart(self):
         # every face chart: orthonormal columns orthogonal to the normal
         gen = np.random.default_rng(8)
@@ -775,19 +754,11 @@ class TestFaceTables:
 
         monkeypatch.setattr(cg, "linprog", counted)
         monkeypatch.setattr(cg.Polytope, "__init__", constructor)
-        bodies = [presets.simplex(4), presets.body_preset("random-polytope-n3"),
-                  *clipped_members(3)]
-        # a third member puts the half-ball on the general mixture, which
-        # clips its half-space member
-        general = cg.Intersection([*presets.half_ball(3).members,
-                                   cg.Box(-2.0 * np.ones(3), 2.0 * np.ones(3))])
+        bodies = [presets.simplex(4), presets.body_preset("random-polytope-n3")]
         built = dict(calls)
-        general._mixture
         for body in bodies:
             body.faces, body._face_cum
-        assert calls["elsewhere"] == built["elsewhere"]
-        # filling the tables built the clipped half-space member only
-        assert calls["constructor"] - built["constructor"] == 2 * 3 + 1
+        assert calls == built
 
 
 def boundary_key(seed):
@@ -817,22 +788,12 @@ class TestBoundarySampling:
         assert abs(frac - expect) <= 3.0 * se
 
     def test_positions_on_boundary_and_normals_inward(self):
-        lens = cg.Intersection([cg.Ball([0, 0], 1.0), cg.Ball([0.5, 0], 1.0)])
-        below = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.2)],
-                            require_bounded=False)
         bodies = [cg.Ball([0, 0, 0], 2.0),
                   cg.Box([0, 0], [2, 1]),
                   cg.Ellipsoid([1.0, 0.0], [2.0, 1.0]),
                   unit_simplex(3),
                   half_disk(),
-                  # a member that is itself an intersection rejects points
-                  cg.Intersection([lens, half_disk().members[1]]),
-                  # general intersections with an unbounded half-space
-                  # member, drawn clipped to the bounding box
-                  cg.Intersection([cg.Ellipsoid([0, 0, 0], [1.0, 2.0, 0.5]),
-                                   below]),
-                  cg.Intersection([cg.Ball([0, 0, 0], 1.0), below,
-                                   cg.Box([-0.8, -2.0, -2.0], [2.0, 2.0, 2.0])])]
+                  oblique_half_ball(3)]
         for body in bodies:
             pos, nrm, _w = body.boundary_arrays(400, key=11)
             assert np.max(np.abs(body.distances_many(pos))) <= 1e-9 * body.diameter
@@ -1174,6 +1135,39 @@ class TestHalfBallClosedForms:
         assert body.surface_area_exact() == pytest.approx(area, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("t", [-0.9, -0.3, 0.0, 0.4, 0.99])
+    def test_deepest_point(self, n, t):
+        gen = np.random.default_rng(100 * n + int(10 * t))
+        radius = 1.7
+        body = half_space_cut(gen.uniform(-1.0, 1.0, n), radius,
+                              gen.normal(size=n), t)
+        ball, a, _t, _cap, _flat = body._half_ball
+        tol = 1e-14 * (radius + float(np.abs(ball.center).max()))
+        x0 = body.interior_point()
+        assert body.inradius() == pytest.approx(0.5 * radius * (1.0 + t),
+                                                rel=1e-14)
+        assert abs(body.distances_many(x0[None, :])[0] - body.inradius()) <= tol
+        # 10k interior points, drawn uniformly from a box around the kept
+        # part in the frame (a, complement of a) and kept inside the body
+        width = 1.0 if t >= 0.0 else math.sqrt(1.0 - t * t)
+        frame = np.column_stack((a, cg._complement(a)))
+        sample = []
+        while sum(map(len, sample)) < 10_000:
+            u = gen.uniform(-1.0, 1.0, size=(50_000, n))
+            u[:, 0] = -1.0 + 0.5 * (u[:, 0] + 1.0) * (1.0 + t)
+            u[:, 1:] *= width
+            pts = ball.center + radius * u @ frame.T
+            sample.append(pts[body.contains_many(pts)])
+        depths = body.distances_many(np.concatenate(sample)[:10_000])
+        assert depths.max() <= body.inradius() + tol
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_preset_deepest_point(self, n):
+        body = presets.half_ball(n)
+        assert body.inradius() == 0.5
+        assert np.array_equal(body.interior_point(), [0.0] * (n - 1) + [0.5])
+
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_half_ball(self, n):
         from torsion_bound import analytic_library as al
 
@@ -1194,24 +1188,6 @@ class TestHalfBallClosedForms:
                 vol, area = body.volume_exact(), body.surface_area_exact()
             assert vol == pytest.approx(al.ball_volume(n, 2.0), rel=1e-14)
             assert area == pytest.approx(al.ball_surface_area(n, 2.0), rel=1e-14)
-
-    def test_other_intersections_stay_monte_carlo(self):
-        ball = cg.Ball([0.0, 0.0, 0.0], 1.0)
-        below = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.0)],
-                            require_bounded=False)
-        left = cg.Polytope([(np.array([-1.0, 0.0, 0.0]), 0.0)],
-                           require_bounded=False)
-        both = cg.Polytope([(np.array([0.0, 0.0, -1.0]), 0.0),
-                            (np.array([-1.0, 0.0, 0.0]), 0.0)],
-                           require_bounded=False)
-        ellipsoid = cg.Ellipsoid([0.0, 0.0, 0.0], [1.0, 2.0, 0.5])
-        for body in (cg.Intersection([ball, below, left]),
-                     cg.Intersection([ball, both]),
-                     cg.Intersection([ellipsoid, below]),
-                     cg.Intersection([ball, cg.Ball([0.5, 0.0, 0.0], 1.0)])):
-            assert body.volume_exact() is None
-            assert body.surface_area_exact() is None
-            assert cg.volume(body, WosConfig(samples=1000, seed=1)).stderr > 0
 
 
 def boundary_height(body, pos):
@@ -1334,20 +1310,6 @@ class TestHalfBallSampler:
         _ball, _a, _t, cap, flat = body._half_ball
         assert len(draws) == 2 and np.array_equal(areas, [cap, flat])
         assert body._strata()[1] is areas
-
-    def test_general_intersections_keep_the_mixture(self):
-        # a third member puts a half-ball back on the rejection mixture of
-        # its members, the half-space one clipped to the bounding box
-        body = presets.half_ball(3)
-        forced = cg.Intersection([*body.members, cg.Box(-2.0 * np.ones(3),
-                                                        2.0 * np.ones(3))])
-        assert forced._half_ball is None
-        draws, areas = forced._mixture
-        (clipped,) = clipped_members(3)
-        assert len(draws) == 3 and forced._strata()[1] is areas
-        assert np.array_equal(areas, [body.members[0].surface_area_exact(),
-                                      clipped.surface_area_exact(),
-                                      forced.members[2].surface_area_exact()])
 
 
 def monomials(n, degree):
@@ -1481,11 +1443,9 @@ class TestCubature:
             assert cg.boundary_cubature(body, degree) is None
 
     def test_no_rule_on_intersections(self):
-        # nor on a member clipped to a box, whose kept faces are only part
-        # of its boundary
-        for body in (presets.half_ball(2), *clipped_members(2)):
-            assert cg.cubature(body, 1) is None
-            assert cg.boundary_cubature(body, 1) is None
+        body = presets.half_ball(2)
+        assert cg.cubature(body, 1) is None
+        assert cg.boundary_cubature(body, 1) is None
 
 
 class TestInvariants:
@@ -1515,15 +1475,15 @@ class TestInvariants:
                 assert abs(di - dj) <= gap + 1e-12
 
     def test_exact_vs_mc_volumes(self):
-        # force the Monte Carlo route via an enclosing-box intersection
         shapes = [cg.Ball([0, 0], 1.0), cg.Ellipsoid([0, 0], [2.0, 1.0]),
                   cg.Box([0, 0], [1.5, 0.5]), presets.simplex(3),
-                  presets.body_preset("random-polytope-n3")]
+                  presets.body_preset("random-polytope-n3"),
+                  oblique_half_ball(3)]
         for body in shapes:
-            n = body.dimension
-            forced = cg.Intersection([body, cg.Box([-3] * n, [3] * n)])
-            mc = cg.volume(forced, CFG)
-            assert abs(mc.mean - body.volume_exact()) <= 4.0 * mc.stderr
+            mean, se = mc_volume(body, CFG.samples, CFG.seed)
+            # a box fills its bounding box: se is 0, the mean rounds
+            assert abs(mean - body.volume_exact()) \
+                <= 4.0 * se + 1e-12 * body.volume_exact()
 
 
 class TestValidation:
@@ -1542,12 +1502,41 @@ class TestValidation:
                          (np.array([0.0, 1.0]), 1.0)])
 
     def test_intersection_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cg.Intersection([cg.Ball([0, 0], 1.0), cg.Ball([0, 0, 0], 1.0)])
+        with pytest.raises(ValueError, match="dimension"):
+            cg.Intersection([cg.Ball([0, 0], 1.0), half_space([0.0, 0.0, -1.0])])
 
     def test_intersection_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cg.Intersection([cg.Ball([0, 0], 1.0), cg.Ball([5, 0], 1.0)])
+        # planes missing the disc, one along an axis and one oblique
+        for normal, offset in (([0.0, 1.0], -5.0), ([0.6, 0.8], -1.0)):
+            with pytest.raises(ValueError, match="empty"):
+                cg.Intersection([cg.Ball([0, 0], 1.0), half_space(normal, offset)])
+
+    REJECTED = {
+        "ball-ball": lambda: [cg.Ball([0, 0], 1.0), cg.Ball([0.5, 0], 1.0)],
+        "ellipsoid-half-space": lambda: [cg.Ellipsoid([0, 0], [1.0, 2.0]),
+                                         half_space([0.0, -1.0])],
+        "two-half-spaces-one-member": lambda: [
+            cg.Ball([0, 0], 1.0),
+            cg.Polytope([(np.array([0.0, -1.0]), 0.0),
+                         (np.array([-1.0, 0.0]), 0.0)], require_bounded=False)],
+        "two-half-spaces-two-members": lambda: [
+            cg.Ball([0, 0], 1.0), half_space([0.0, -1.0]),
+            half_space([-1.0, 0.0])],
+        "ball-box": lambda: [cg.Ball([0, 0], 1.0), cg.Box([-2, 0], [2, 2])],
+        "three-members": lambda: [*half_disk().members,
+                                  cg.Box([-2, -2], [2, 2])],
+        "nested": lambda: [half_disk(), cg.Ball([0.5, 0], 1.0)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REJECTED))
+    def test_only_half_balls_are_intersections(self, kind):
+        members = self.REJECTED[kind]()
+        with pytest.raises(ValueError, match="single polytope"):
+            cg.Intersection(members)
+        doc = {"dimension": 2, "shape": {
+            "type": "intersection", "members": [m.shape_json() for m in members]}}
+        with pytest.raises(ValueError, match="single polytope"):
+            cg.body_from_json(json.loads(json.dumps(doc)))
 
     def test_unbounded_intersection_rejected(self):
         a = cg.Polytope([(np.array([0.0, -1.0]), 0.0)], require_bounded=False)
