@@ -803,7 +803,17 @@ def _slacks(A, c, points):
 
 
 def _hrep_bbox(A, c):
+    """Bounding box of {A x <= c}.  One constraint {a . x <= c} bounds x_k
+    only when a = a_k e_k: above by c / a_k when a_k > 0, below when
+    a_k < 0; more constraints take a linear program per side."""
     d = A.shape[1]
+    if len(c) == 1:
+        lo, hi = np.full(d, -math.inf), np.full(d, math.inf)
+        axes = np.flatnonzero(A[0])
+        if len(axes) == 1:
+            k = axes[0]
+            (hi if A[0, k] > 0.0 else lo)[k] = c[0] / A[0, k]
+        return lo, hi
     lo = np.array([-_coordinate_range(A, c, k, -1.0) for k in range(d)])
     hi = np.array([_coordinate_range(A, c, k, 1.0) for k in range(d)])
     return lo, hi
@@ -995,7 +1005,8 @@ class Polytope(ConvexBody):
     """Bounded intersection of half-spaces {x : a_i . x <= c_i}.
 
     The bounding box comes from linear programs in all +-coordinate
-    directions, solved once at construction.  They validate boundedness,
+    directions, solved once at construction (a single half-space takes
+    its box in closed form, see _hrep_bbox).  They validate boundedness,
     and one more finds the Chebyshev centre (inradius and interior point),
     unless require_bounded=False: the single half-space that cuts a
     half-ball, whose box may be infinite and which has no Chebyshev

@@ -14,6 +14,9 @@ unit-ball draw) are kept verbatim as references that the faster code must
 match bit for bit, its earlier polytope face areas by linear programs as
 the reference for the vertex-enumerated ones, and its earlier ``pow``
 polynomial kernel as the error reference for the multiplication kernel.
+The per-slot directions are not the earlier code but an independent
+row-major version of the turn and Shoemake maps, on the per-slot
+uniforms and with their own turn table from 40-digit values.
 Uniform laws on simplices and polytopes are checked against closed-form
 moments summed over a qhull triangulation, and the half-ball volume, area
 and boundary height moment against mpmath quadrature over slices.  The
@@ -21,6 +24,7 @@ ellipsoid area is checked against mpmath quadrature in s of its Gaussian
 integral, which the library takes by the trapezoid rule in log s.
 """
 
+import functools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -68,7 +72,7 @@ def square_torsion_series(x: float, y: float, kmax: int = 400) -> float:
         kp = k * math.pi
         # sinh ratio computed via exponentials to avoid overflow
         ratio = (math.exp(kp * (y - 1.0)) + math.exp(-kp * y)
-                 - math.exp(kp * (y - 2.0)) - math.exp(-kp * (y + 2.0))) \
+                 - math.exp(kp * (y - 2.0)) - math.exp(-kp * (y + 1.0))) \
             / (1.0 - math.exp(-2.0 * kp))
         total += ratio * math.sin(kp * x) / k**3
     return x * (1.0 - x) / 2.0 - 4.0 / math.pi**3 * total
@@ -504,21 +508,64 @@ def uniforms_per_slot(key: int, units: np.ndarray, counter: int,
     return out
 
 
+TURNS = 1024
+
+
+@functools.cache
+def turn_table() -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """cos and sin of 2 pi k / TURNS, k = 0..TURNS, and the Taylor
+    coefficients of the remainder step (h, h^2/2, h^4/24, h^3/6, h^5/120
+    with h = 2 pi / TURNS), each rounded once from 40-digit values."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        turns = [mpmath.mpf(2 * k) / TURNS for k in range(TURNS + 1)]
+        cos = np.array([float(mpmath.cospi(t)) for t in turns])
+        sin = np.array([float(mpmath.sinpi(t)) for t in turns])
+        h = 2 * mpmath.pi / TURNS
+        coef = tuple(float(c) for c in (h, h**2 / 2, h**4 / 24, h**3 / 6,
+                                        h**5 / 120))
+    return cos, sin, coef
+
+
+def turn_per_slot(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for rng._turn: (cos 2 pi u, sin 2 pi u) from the table
+    turn k = rint(TURNS u) and the step by r = TURNS u - k, with each
+    product and sum rounded in the library's order."""
+    cos_tab, sin_tab, (s1, c2, c4, s3, s5) = turn_table()
+    t = u * float(TURNS)
+    k = np.rint(t)
+    r = t - k
+    c, s = cos_tab[k.astype(int)], sin_tab[k.astype(int)]
+    r2 = r * r
+    one_minus_cos = (c2 - c4 * r2) * r2
+    sin_d = (s1 - (s3 - s5 * r2) * r2) * r
+    return (c - (c * one_minus_cos + s * sin_d),
+            s + (c * sin_d - s * one_minus_cos))
+
+
 def unit_vectors_per_slot(key: int, units: np.ndarray, counter: int,
                           dim: int) -> np.ndarray:
-    """Reference for rng.unit_vectors on uniforms_per_slot."""
+    """Reference for rng.unit_vectors on uniforms_per_slot: turns in
+    n = 2, 3, Shoemake's map in n = 4, normalized ndtri Gaussians
+    otherwise (in n = 1 the sign of u - 1/2)."""
     from scipy.special import ndtri
 
+    u = uniforms_per_slot(key, units, counter, {2: 1, 3: 2, 4: 3}.get(dim, dim))
     if dim == 2:
-        theta = 2.0 * np.pi * uniforms_per_slot(key, units, counter, 1)[:, 0]
-        return np.column_stack((np.cos(theta), np.sin(theta)))
+        return np.column_stack(turn_per_slot(u[:, 0]))
     if dim == 3:
-        u = uniforms_per_slot(key, units, counter, 2)
         z = 2.0 * u[:, 0] - 1.0
-        phi = 2.0 * np.pi * u[:, 1]
         s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
-    g = ndtri(uniforms_per_slot(key, units, counter, dim))
+        cos, sin = turn_per_slot(u[:, 1])
+        return np.column_stack((s * cos, s * sin, z))
+    if dim == 4:
+        inner, outer = np.sqrt(u[:, 0]), np.sqrt(1.0 - u[:, 0])
+        cos_a, sin_a = turn_per_slot(u[:, 1])
+        cos_b, sin_b = turn_per_slot(u[:, 2])
+        return np.column_stack((inner * cos_a, inner * sin_a,
+                                outer * cos_b, outer * sin_b))
+    g = ndtri(u)
     norm = np.linalg.norm(g, axis=1)
     norm[norm < 1e-300] = 1.0
     return g / norm[:, None]

@@ -1123,6 +1123,22 @@ def half_space_cut(center, radius, normal, t):
 
 
 class TestHalfBallClosedForms:
+    @pytest.mark.parametrize("normal, offset", [
+        ([0.0, -1.0], 0.0), ([0.0, 0.0, -1.0], 0.0), ([0.0, 0.0, 0.0, -1.0], 0.0),
+        ([1.0, 0.0, 0.0], 0.5), ([0.0, -1.0], -2.0), ([0.0, 0.6, 0.8], 1.0),
+        ([-0.6, 0.8], 0.3)])
+    def test_half_space_box_is_the_linear_programs(self, normal, offset):
+        # the closed form of one constraint against the LP of each side,
+        # signed zeros included
+        cut = half_space(normal, offset)
+        lo, hi = cut.bounding_box()
+        n = len(normal)
+        lp_lo = [-cg._coordinate_range(cut.A, cut.c, k, -1.0) for k in range(n)]
+        lp_hi = [cg._coordinate_range(cut.A, cut.c, k, 1.0) for k in range(n)]
+        assert np.array_equal(lo, lp_lo) and np.array_equal(hi, lp_hi)
+        assert np.array_equal(np.signbit(lo), np.signbit(lp_lo))
+        assert np.array_equal(np.signbit(hi), np.signbit(lp_hi))
+
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("t", [-0.9, -0.3, 0.0, 0.4, 0.99])
     def test_against_quadrature(self, n, t):

@@ -67,6 +67,72 @@ class TestUnitVectors:
         assert np.allclose(v.var(axis=0), 1.0 / 3.0, atol=0.01)
 
 
+def _turn_in_long_double(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    angle = 2.0 * np.arccos(np.longdouble(-1.0)) * u.astype(np.longdouble)
+    return np.cos(angle), np.sin(angle)
+
+
+class TestDirectionMaps:
+    """The turn kernel of n = 2, 3 and Shoemake's map of n = 4."""
+
+    def test_turns_match_long_double(self):
+        ids = np.arange(1_000_000, dtype=np.uint64)
+        keys = rng.unit_keys(41, ids)
+        v = rng.draw_unit_vectors(keys, 3, 2)
+        cos, sin = _turn_in_long_double(rng.draw_uniforms(keys, 3, 1)[:, 0])
+        assert np.abs(v[:, 0] - cos).max() <= 8e-16
+        assert np.abs(v[:, 1] - sin).max() <= 8e-16
+        # the ends of (0, 1), the quarter turns, and both sides of every
+        # half-step edge between table turns
+        half = (np.arange(rng._TURNS) + 0.5) / rng._TURNS
+        u = np.concatenate(([2.0**-54, 0.25, 0.5, 0.75, 1.0 - 2.0**-54],
+                            half, np.nextafter(half, 0.0),
+                            np.nextafter(half, 1.0)))
+        c, s = np.empty_like(u), np.empty_like(u)
+        rng._turn(u, c, s)
+        cos, sin = _turn_in_long_double(u)
+        assert np.abs(c - cos).max() <= 8e-16
+        assert np.abs(s - sin).max() <= 8e-16
+        assert np.array_equal(c[1:4], [0.0, -1.0, 0.0])
+        assert np.array_equal(s[1:4], [1.0, 0.0, -1.0])
+
+    def test_table_is_correctly_rounded(self):
+        cos, sin, coef = oracles.turn_table()
+        assert np.array_equal(rng._TURN_COS, cos)
+        assert np.array_equal(rng._TURN_SIN, sin)
+        assert (rng._TURN_COS[-1], rng._TURN_SIN[-1]) == (1.0, 0.0)
+        assert (rng._S1, rng._C2, rng._C4, rng._S3, rng._S5) == coef
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unit_length(self, dim):
+        keys = rng.unit_keys(43, np.arange(200_000, dtype=np.uint64))
+        v = rng.draw_unit_vectors(keys, 1, dim).astype(np.longdouble)
+        length = np.sqrt(np.square(v).sum(axis=1))
+        assert np.abs(length - 1.0).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rows_do_not_hang_on_the_call(self, dim):
+        keys = rng.unit_keys(47, np.arange(1500, dtype=np.uint64))
+        full = rng.draw_unit_vectors(keys, 5, dim)
+        gen = np.random.default_rng(dim)
+        for count in (0, 1, 2, 7, 300):
+            pick = np.sort(gen.choice(keys.size, count, replace=False))
+            rows = rng.draw_unit_vectors(keys[pick], 5, dim)
+            assert rows.shape == (count, dim)
+            assert np.array_equal(rows, full[pick])
+
+    def test_shoemake_map_is_uniform(self):
+        from scipy import stats
+
+        keys = rng.unit_keys(53, np.arange(100_000, dtype=np.uint64))
+        v = rng.draw_unit_vectors(keys, 0, 4)
+        # on S^3, x1^2 + x2^2 is uniform on (0, 1)
+        assert stats.kstest(v[:, 0]**2 + v[:, 1]**2, "uniform").pvalue > 1e-5
+        # each x_i has variance 1/4, and x_i^2 a standard deviation of
+        # 1/4: over 100k draws a standard error of 7.9e-4, five of them
+        assert np.allclose(v.var(axis=0), 0.25, rtol=0.0, atol=0.004)
+
+
 class TestPerSlotReference:
     """The draws equal the earlier per-slot implementation bit for bit,
     also at counters whose words wrap the 64-bit arithmetic."""

@@ -28,6 +28,16 @@ class TestWosConfig:
         assert WosConfig(samples=2).samples == 2
 
 
+class TestSquareTorsionSeries:
+    """The series oracle agrees with its frozen values."""
+
+    def test_frozen_values(self):
+        assert abs(oracles.square_torsion_series(0.5, 0.5)
+                   - oracles.SQUARE_TORSION_CENTER) <= 1e-15
+        assert abs(oracles.square_torsion_series(0.25, 0.5)
+                   - oracles.SQUARE_TORSION_QUARTER) <= 1e-15
+
+
 class TestTorsionValue:
     def test_ball_center_n2(self):
         est = wos.torsion_value(cg.Ball([0.0, 0.0], 1.0), [0.0, 0.0], CFG)
